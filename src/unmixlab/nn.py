@@ -115,6 +115,7 @@ class Linear:
         self.has_bias = bias
         self.weight = np.zeros((out_features, in_features))
         self.bias = np.zeros(out_features) if bias else None
+        self.grad_views: dict[str, NDArrayF] = {}
 
     def spec(self) -> dict:
         return {
@@ -146,10 +147,13 @@ class Linear:
         return y
 
     def backward(self, dy, cache):
-        grads = {"weight": dy @ cache["x"].T}
+        out = self.grad_views
+        grads = {"weight": np.matmul(dy, cache["x"].T, out=out.get("weight"))}
         if self.has_bias:
-            grads["bias"] = dy.sum(axis=1)
-        return self.weight.T @ dy, grads
+            grads["bias"] = np.sum(dy, axis=1, out=out.get("bias"))
+        # nothing reads the gradient of the batch itself
+        dx = None if cache.get("skip_dx") else self.weight.T @ dy
+        return dx, grads
 
 
 class Sigmoid:
@@ -215,6 +219,7 @@ class BatchNorm:
         self.beta = np.zeros(features)
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
+        self.grad_views: dict[str, NDArrayF] = {}
 
     def spec(self) -> dict:
         return {"kind": self.kind, "features": self.features}
@@ -256,9 +261,10 @@ class BatchNorm:
         x_hat = cache["x_hat"]
         inv = cache["inv"]
         m = dy.shape[1]
+        out = self.grad_views
         grads = {
-            "gamma": (dy * x_hat).sum(axis=1),
-            "beta": dy.sum(axis=1),
+            "gamma": np.sum(dy * x_hat, axis=1, out=out.get("gamma")),
+            "beta": np.sum(dy, axis=1, out=out.get("beta")),
         }
         dxh = dy * self.gamma[:, None]
         dx = (inv[:, None] / m) * (
@@ -282,6 +288,7 @@ class SoftThreshold:
             raise ValueError("soft threshold needs at least one feature")
         self.features = features
         self.alpha = np.zeros(features)
+        self.grad_views: dict[str, NDArrayF] = {}
 
     def spec(self) -> dict:
         return {"kind": self.kind, "features": self.features}
@@ -305,7 +312,8 @@ class SoftThreshold:
 
     def backward(self, dy, cache):
         dz = dy * cache["mask"]
-        return dz, {"alpha": -dz.sum(axis=1)}
+        alpha = np.sum(dz, axis=1, out=self.grad_views.get("alpha"))
+        return dz, {"alpha": np.negative(alpha, out=alpha)}
 
 
 class SumToOne:
@@ -336,7 +344,7 @@ class SumToOne:
         dead = s_raw == 0.0
         s = s_raw + SUM_TO_ONE_GUARD
         y = x / s
-        if np.any(dead):
+        if dead.any():
             y = np.where(dead, 1.0 / x.shape[0], y)
         cache["y"] = y
         cache["s"] = s
@@ -348,7 +356,7 @@ class SumToOne:
         s = cache["s"]
         dx = (dy - (dy * y).sum(axis=0, keepdims=True)) / s
         dead = cache["dead"]
-        if np.any(dead):
+        if dead.any():
             dx = np.where(dead, 0.0, dx)
         return dx, {}
 
@@ -418,6 +426,13 @@ class Network:
     The encoder must map input_dim-vectors to latent_dim-vectors. At most
     one sum_to_one layer is allowed and only gaussian_dropout may follow it;
     its output is read back as the abundance matrix.
+
+    The network owns all trainable values in one contiguous float64 vector,
+    flat_params, laid out in named_parameters() order; every layer's
+    weight, bias, gamma, beta and alpha is a view into it. flat_grads has
+    the same layout and receives the gradients that backward writes, so a
+    whole Adam step is a handful of vector operations. param_slices maps
+    each parameter name to its slice of both vectors.
     """
 
     def __init__(self, encoder, decoder: Linear, input_dim: int, latent_dim: int,
@@ -447,19 +462,53 @@ class Network:
         self.meta = dict(meta or {})
         self.sum_to_one_index = sum_to_one_index
         self._version = 0
+        self._bind_arena()
+
+    def _owners(self):
+        return [(f"enc{i}", layer) for i, layer in enumerate(self.encoder)] + [
+            ("dec", self.decoder)
+        ]
+
+    def _bind_arena(self) -> None:
+        """Move every parameter into flat_params and point the layers at
+        views of it and of flat_grads."""
+        entries = [
+            (f"{prefix}.{key}", layer, key, arr)
+            for prefix, layer in self._owners()
+            for key, arr in layer.params.items()
+        ]
+        size = sum(arr.size for *_, arr in entries)
+        self.flat_params = np.empty(size)
+        self.flat_grads = np.zeros(size)
+        self.param_slices: dict[str, slice] = {}
+        self._grad_views: dict[str, NDArrayF] = {}
+        start = 0
+        for name, layer, key, arr in entries:
+            sl = slice(start, start + arr.size)
+            param = self.flat_params[sl].reshape(arr.shape)
+            param[...] = arr
+            setattr(layer, key, param)
+            grad = self.flat_grads[sl].reshape(arr.shape)
+            layer.grad_views[key] = grad
+            self.param_slices[name] = sl
+            self._grad_views[name] = grad
+            start = sl.stop
+
+    def __setstate__(self, state):
+        # copy and pickle duplicate the views apart from the arena; rebind
+        self.__dict__.update(state)
+        self._bind_arena()
 
     @property
     def version(self) -> int:
         return self._version
 
     def named_parameters(self) -> dict[str, NDArrayF]:
-        out = {}
-        for i, layer in enumerate(self.encoder):
-            for key, arr in layer.params.items():
-                out[f"enc{i}.{key}"] = arr
-        for key, arr in self.decoder.params.items():
-            out[f"dec.{key}"] = arr
-        return out
+        return {
+            f"{prefix}.{key}": arr
+            for prefix, layer in self._owners()
+            for key, arr in layer.params.items()
+        }
 
     def named_buffers(self) -> dict[str, NDArrayF]:
         out = {}
@@ -477,20 +526,15 @@ class Network:
         self._version += 1
 
     def parameter_checksum(self) -> str:
+        params = self.named_parameters()
         h = hashlib.sha256()
-        for name in sorted(self.named_parameters()):
+        for name in sorted(params):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(self.named_parameters()[name]).tobytes())
+            h.update(params[name].tobytes())
         return h.hexdigest()
 
     def forward(self, batch, mode=EVAL, seed: int = 0):
         return forward(self, batch, mode=mode, seed=seed)
-
-    def has_dropout(self) -> bool:
-        return any(
-            layer.kind == "gaussian_dropout" and layer.rate > 0.0
-            for layer in self.encoder
-        )
 
 
 def build_network(
@@ -568,6 +612,23 @@ def initialize_network(net: Network, scheme: str, seed: int) -> Network:
     return net
 
 
+class _LazyRng:
+    """np.random.default_rng(seed), created on the first draw: only a
+    train-mode dropout layer with a non-zero rate draws, and most forwards
+    have none."""
+
+    __slots__ = ("seed", "_gen")
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._gen = None
+
+    def __getattr__(self, name):
+        if self._gen is None:
+            self._gen = np.random.default_rng(self.seed)
+        return getattr(self._gen, name)
+
+
 @dataclass
 class ForwardCache:
     """Intermediates from one forward call, consumed by backward."""
@@ -599,13 +660,13 @@ def forward(
         )
     if x.shape[1] < 1:
         raise ValueError("batch must hold at least one column")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite batch input")
-    rng = np.random.default_rng(seed)
+    rng = _LazyRng(seed)
     entries = []
     abundances = None
     for i, layer in enumerate(net.encoder):
-        entry: dict = {}
+        entry: dict = {} if i else {"skip_dx": True}
         x = layer.forward(x, mode, rng, entry)
         entries.append(entry)
         if i == net.sum_to_one_index:
@@ -634,7 +695,8 @@ def backward(
 
     loss_grad is dL/d(reconstruction) from the loss function. The cache must
     come from a train-mode forward on this exact network with no parameter
-    update in between.
+    update in between. The returned arrays are views into net.flat_grads,
+    so the next backward on the network overwrites them.
     """
     if cache.net is not net:
         raise CacheError("cache was built for a different network")
@@ -665,6 +727,9 @@ class AdamState:
     t: int = 0
     m: dict[str, NDArrayF] = field(default_factory=dict)
     v: dict[str, NDArrayF] = field(default_factory=dict)
+    # (flat_params it serves, flat m, flat v, two scratch vectors); m and v
+    # above then hold views of the flat moments
+    _arena: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
@@ -685,13 +750,7 @@ def adam_step(
     The state is advanced in place (moments and step counter). Non-finite
     gradients abort with DivergenceError before any state is touched.
     """
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient name sets differ")
-    for name, g in grads.items():
-        if np.asarray(g).shape != np.asarray(params[name]).shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
+    _check_gradients(params, grads)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
@@ -714,9 +773,76 @@ def adam_step(
     return new_params
 
 
+def _check_gradients(params: dict, grads: dict) -> None:
+    if set(params) != set(grads):
+        raise ValueError("parameter and gradient name sets differ")
+    for name, g in grads.items():
+        if np.asarray(g).shape != np.asarray(params[name]).shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient in {name}")
+
+
+def _flat_moments(net: Network, state: AdamState) -> tuple:
+    """The state's moments as vectors in the layout of net.flat_params.
+
+    Built on first use, or when the state last served another arena (a
+    copy, say); moments the state already holds by name carry over."""
+    if state._arena is not None and state._arena[0] is net.flat_params:
+        return state._arena
+    size = net.flat_params.size
+    m, v = np.zeros(size), np.zeros(size)
+    views_m, views_v = {}, {}
+    for name, sl in net.param_slices.items():
+        shape = net._grad_views[name].shape
+        views_m[name] = m[sl].reshape(shape)
+        views_v[name] = v[sl].reshape(shape)
+        if name in state.m:
+            views_m[name][...] = state.m[name]
+            views_v[name][...] = state.v[name]
+    state.m, state.v = views_m, views_v
+    state._arena = (net.flat_params, m, v, np.empty(size), np.empty(size))
+    return state._arena
+
+
 def apply_gradients(net: Network, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """Adam-update the network parameters in place (invalidates caches)."""
-    net.set_parameters(adam_step(net.named_parameters(), grads, state))
+    """Adam-update the network parameters in place (invalidates caches).
+
+    The update is adam_step's, element for element, run once over the flat
+    parameter vector. The gradients that backward returns already live in
+    net.flat_grads; any other name -> array mapping is checked as adam_step
+    checks it and copied there first.
+    """
+    views = net._grad_views
+    if grads.keys() != views.keys() or any(grads[n] is not g for n, g in views.items()):
+        _check_gradients(views, grads)
+        for name, g in grads.items():
+            np.copyto(views[name], g)
+    elif not np.isfinite(net.flat_grads).all():
+        bad = next(n for n, g in grads.items() if not np.isfinite(g).all())
+        raise DivergenceError(f"non-finite gradient in {bad}")
+    p, m, v, t, u = _flat_moments(net, state)
+    g = net.flat_grads
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    # the operation order of adam_step, so every element rounds the same
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=t)
+    m += t
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=t)
+    t *= g
+    v += t
+    np.divide(m, c1, out=t)
+    t *= state.learning_rate
+    np.divide(v, c2, out=u)
+    np.sqrt(u, out=u)
+    u += state.eps
+    t /= u
+    p -= t
+    net._version += 1
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -732,7 +858,7 @@ def save_checkpoint(net: Network, path) -> None:
     names_b = list(buffers)
     payload = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in [params[n] for n in names_p] + [buffers[n] for n in names_b]
+        for arr in [net.flat_params] + [buffers[n] for n in names_b]
     )
     header = {
         "format_version": CHECKPOINT_VERSION,

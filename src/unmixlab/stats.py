@@ -29,8 +29,6 @@ _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 1000
 
-LOG_P_FLOOR = -745.0  # natural-log underflow threshold of float64
-
 
 class PosthocGateError(RuntimeError):
     """Post-hoc comparison requested without a Kruskal-Wallis rejection."""

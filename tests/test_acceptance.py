@@ -296,6 +296,7 @@ def desk_runs():
     return runs, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_unmixing(desk_runs):
     runs, elapsed = desk_runs
     scored = [r for r, _ in runs if not r.diverged]
@@ -308,6 +309,7 @@ def test_criterion_5_desk_scale_unmixing(desk_runs):
             f"{best.endmember_sad:.4f} (< 0.15 rad), {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_9_gradient_trace_diagnostics(desk_runs, tmp_path):
     runs, _ = desk_runs
     scored = [(r, t) for r, t in runs if not r.diverged]
@@ -336,6 +338,7 @@ def test_criterion_9_gradient_trace_diagnostics(desk_runs, tmp_path):
 # criterion 6: initialization dependence on a Samson-shaped grid
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_stability_phenomenon():
     t0 = time.perf_counter()
     w = ul.generate_endmembers(156, 3, smoothness=9, seed=11)

@@ -150,6 +150,19 @@ class TestTrainExperiment:
         err = capsys.readouterr().err
         assert "error {" in err and "typo_key" in err
 
+    def test_unscorable_endmember_count_fails_before_training(self, tmp_path,
+                                                              config_path, capsys):
+        scene = tmp_path / "e11"
+        assert main(["gen", "--out", str(scene), "--bands", "40", "--endmembers",
+                     "11", "--pixels", "200", "--seed", "3"]) == EXIT_OK
+        out = tmp_path / "grid"
+        rc = main(["experiment", "--config", str(config_path), "--data", str(scene),
+                   "--out", str(out), "--set", "N=2", "--set", "k=1",
+                   "--set", "epochs=1"])
+        assert rc == EXIT_USAGE
+        assert "11 endmembers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_ground_truth_is_data_error(self, tmp_path, config_path):
         csv_path = tmp_path / "p.csv"
         np.savetxt(csv_path, np.random.default_rng(1).uniform(0, 1, (30, 16)),

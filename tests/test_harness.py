@@ -153,6 +153,19 @@ class TestTrainOnce:
 
 
 class TestGrid:
+    def test_unscorable_endmember_count_rejected_before_training(self, monkeypatch):
+        from unmixlab import harness
+        from unmixlab.metrics import MAX_EXHAUSTIVE_ENDMEMBERS
+
+        e = MAX_EXHAUSTIVE_ENDMEMBERS + 1
+        data = tiny_scene(bands=3 * e, endmembers=e, pixels=60)
+        trained = []
+        monkeypatch.setattr(harness, "train_once", lambda *a, **k: trained.append(a))
+        config = tiny_config(n_inits=2, runs_per_init=1, epochs=1)
+        with pytest.raises(ValueError, match=f"{e} endmembers"):
+            harness.run_experiment(config, data)
+        assert trained == []
+
     def test_grid_shape_and_order(self):
         data = tiny_scene()
         records = run_experiment(tiny_config(epochs=3), data)
