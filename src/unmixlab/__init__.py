@@ -62,7 +62,6 @@ from .stats import (
     RetryPlan,
     StatReport,
     analyze_grouped,
-    analyze_records,
     chi2_sf,
     conover_iman,
     estimate_success_prob,

@@ -436,14 +436,14 @@ def train_once(
                     diverged = True
                     break
                 final_loss = value
-                grads = nn.backward(net, cache, loss_grad)
+                nn.backward(net, cache, loss_grad)
                 if log_gradients and trace.should_log(iteration):
                     stats = [_mean_std(net.flat_grads[sl]) for _, sl in traced]
                     trace.log(
                         iteration, [s[0] for s in stats], [s[1] for s in stats]
                     )
                 try:
-                    nn.apply_gradients(net, grads, state)
+                    nn.apply_gradients(net, state)
                 except nn.DivergenceError:
                     diverged = True
                     break

@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import numpy.typing as npt
 
+from .metrics import spectral_angle
+
 NDArrayF = npt.NDArray[np.float64]
 
 FORMAT_VERSION = 1
@@ -143,15 +145,6 @@ class HsiBundle:
         return self.ground_truth.endmember_count
 
 
-def _spectral_angle(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("zero-norm spectrum has no spectral angle")
-    c = float(np.dot(u, v) / (nu * nv))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def synthesize(
     endmembers: np.ndarray,
     abundances: np.ndarray,
@@ -254,7 +247,7 @@ def generate_endmembers(
             )
         else:
             ok = all(
-                _spectral_angle(w[:, i], w[:, j]) >= MIN_PAIRWISE_SAD
+                spectral_angle(w[:, i], w[:, j]) >= MIN_PAIRWISE_SAD
                 for i in range(n_endmembers)
                 for j in range(i + 1, n_endmembers)
             )

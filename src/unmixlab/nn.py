@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -408,16 +408,13 @@ _LAYER_CLASSES = {
 
 
 def layer_from_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind == "linear":
-        return Linear(spec["in_features"], spec["out_features"], spec.get("bias", True))
-    if kind in ("batch_norm", "soft_threshold"):
-        return _LAYER_CLASSES[kind](spec["features"])
-    if kind == "gaussian_dropout":
-        return GaussianDropout(spec.get("rate", 0.0))
-    if kind in ("sigmoid", "relu", "sum_to_one"):
-        return _LAYER_CLASSES[kind]()
-    raise ValueError(f"unknown layer kind {kind!r}")
+    """Rebuild a layer from its spec(); the keys besides kind are the
+    constructor's arguments."""
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    if kind not in _LAYER_CLASSES:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return _LAYER_CLASSES[kind](**args)
 
 
 class Network:
@@ -481,17 +478,14 @@ class Network:
         self.flat_params = np.empty(size)
         self.flat_grads = np.zeros(size)
         self.param_slices: dict[str, slice] = {}
-        self._grad_views: dict[str, NDArrayF] = {}
         start = 0
         for name, layer, key, arr in entries:
             sl = slice(start, start + arr.size)
             param = self.flat_params[sl].reshape(arr.shape)
             param[...] = arr
             setattr(layer, key, param)
-            grad = self.flat_grads[sl].reshape(arr.shape)
-            layer.grad_views[key] = grad
+            layer.grad_views[key] = self.flat_grads[sl].reshape(arr.shape)
             self.param_slices[name] = sl
-            self._grad_views[name] = grad
             start = sl.stop
 
     def __setstate__(self, state):
@@ -532,9 +526,6 @@ class Network:
             h.update(name.encode())
             h.update(params[name].tobytes())
         return h.hexdigest()
-
-    def forward(self, batch, mode=EVAL, seed: int = 0):
-        return forward(self, batch, mode=mode, seed=seed)
 
 
 def build_network(
@@ -718,18 +709,20 @@ def backward(
 
 @dataclass
 class AdamState:
-    """Adam moments and step counter for a named parameter set."""
+    """Adam hyperparameters, step counter and moments.
+
+    m and v are flat float64 vectors in the layout of the parameters they
+    serve (net.flat_params, or a named dict's iteration order for
+    adam_step), created on the first step.
+    """
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, NDArrayF] = field(default_factory=dict)
-    v: dict[str, NDArrayF] = field(default_factory=dict)
-    # (flat_params it serves, flat m, flat v, two scratch vectors); m and v
-    # above then hold views of the flat moments
-    _arena: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    m: NDArrayF | None = None
+    v: NDArrayF | None = None
 
     def __post_init__(self):
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
@@ -747,22 +740,34 @@ def adam_step(
 ) -> dict[str, NDArrayF]:
     """One bias-corrected Adam update; returns the new parameter values.
 
-    The state is advanced in place (moments and step counter). Non-finite
-    gradients abort with DivergenceError before any state is touched.
+    The reference for apply_gradients. The state is advanced in place
+    (moments and step counter); each parameter's moments are the next slice
+    of the flat state.m and state.v in the dict's iteration order. Mismatched
+    names or shapes raise ValueError and non-finite gradients
+    DivergenceError, before any state is touched.
     """
-    _check_gradients(params, grads)
+    if set(params) != set(grads):
+        raise ValueError("parameter and gradient name sets differ")
+    for name, g in grads.items():
+        if np.asarray(g).shape != np.asarray(params[name]).shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient in {name}")
+    if state.m is None:
+        size = sum(np.asarray(p).size for p in params.values())
+        state.m, state.v = np.zeros(size), np.zeros(size)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     new_params: dict[str, NDArrayF] = {}
+    start = 0
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        m = state.m[name]
-        v = state.v[name]
+        sl = slice(start, start + g.size)
+        start = sl.stop
+        m = state.m[sl].reshape(g.shape)
+        v = state.v[sl].reshape(g.shape)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -773,63 +778,28 @@ def adam_step(
     return new_params
 
 
-def _check_gradients(params: dict, grads: dict) -> None:
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient name sets differ")
-    for name, g in grads.items():
-        if np.asarray(g).shape != np.asarray(params[name]).shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
-
-
-def _flat_moments(net: Network, state: AdamState) -> tuple:
-    """The state's moments as vectors in the layout of net.flat_params.
-
-    Built on first use, or when the state last served another arena (a
-    copy, say); moments the state already holds by name carry over."""
-    if state._arena is not None and state._arena[0] is net.flat_params:
-        return state._arena
-    size = net.flat_params.size
-    m, v = np.zeros(size), np.zeros(size)
-    views_m, views_v = {}, {}
-    for name, sl in net.param_slices.items():
-        shape = net._grad_views[name].shape
-        views_m[name] = m[sl].reshape(shape)
-        views_v[name] = v[sl].reshape(shape)
-        if name in state.m:
-            views_m[name][...] = state.m[name]
-            views_v[name][...] = state.v[name]
-    state.m, state.v = views_m, views_v
-    state._arena = (net.flat_params, m, v, np.empty(size), np.empty(size))
-    return state._arena
-
-
-def apply_gradients(net: Network, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """Adam-update the network parameters in place (invalidates caches).
+def apply_gradients(net: Network, state: AdamState) -> None:
+    """Adam-update the network parameters in place from net.flat_grads, as
+    the last backward left it (invalidates caches).
 
     The update is adam_step's, element for element, run once over the flat
-    parameter vector. The gradients that backward returns already live in
-    net.flat_grads; any other name -> array mapping is checked as adam_step
-    checks it and copied there first.
+    parameter vector. Non-finite gradients raise DivergenceError, naming
+    the first bad parameter in arena order, before any state is touched.
     """
-    views = net._grad_views
-    if grads.keys() != views.keys() or any(grads[n] is not g for n, g in views.items()):
-        _check_gradients(views, grads)
-        for name, g in grads.items():
-            np.copyto(views[name], g)
-    elif not np.isfinite(net.flat_grads).all():
-        bad = next(n for n, g in grads.items() if not np.isfinite(g).all())
-        raise DivergenceError(f"non-finite gradient in {bad}")
-    p, m, v, t, u = _flat_moments(net, state)
     g = net.flat_grads
+    if not np.isfinite(g).all():
+        bad = next(n for n, sl in net.param_slices.items() if not np.isfinite(g[sl]).all())
+        raise DivergenceError(f"non-finite gradient in {bad}")
+    if state.m is None:
+        state.m, state.v = np.zeros(g.size), np.zeros(g.size)
+    m, v, p = state.m, state.v, net.flat_params
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     # the operation order of adam_step, so every element rounds the same
     m *= b1
-    np.multiply(g, 1.0 - b1, out=t)
+    t = g * (1.0 - b1)
     m += t
     v *= b2
     np.multiply(g, 1.0 - b2, out=t)
@@ -837,7 +807,7 @@ def apply_gradients(net: Network, grads: dict[str, np.ndarray], state: AdamState
     v += t
     np.divide(m, c1, out=t)
     t *= state.learning_rate
-    np.divide(v, c2, out=u)
+    u = v / c2
     np.sqrt(u, out=u)
     u += state.eps
     t /= u

@@ -186,20 +186,22 @@ def f_sf(x: float, d1: float, d2: float) -> float:
 # ---------------------------------------------------------------------------
 
 def midranks(values: np.ndarray) -> NDArrayF:
-    """Ranks 1..n with ties assigned the average of their positions."""
+    """Ranks 1..n with ties assigned the average of their positions.
+
+    NaNs never tie: each keeps its own rank, after every number, in
+    position order.
+    """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise ValueError("cannot rank an empty vector")
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
     sorted_v = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_run = np.ones(v.size, dtype=bool)
+    np.not_equal(sorted_v[1:], sorted_v[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(starts, append=v.size)
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat(starts + 0.5 * (counts - 1) + 1.0, counts)
     return ranks
 
 
@@ -542,35 +544,22 @@ def analyze_grouped(
 
 
 def group_scores(records: Iterable, metric="recon_rmse") -> GroupedScores:
-    """Group record scores by init_id, dropping diverged or unscored runs."""
+    """Group record scores by init_id for the stability test.
+
+    Scores come from metric_values; the runs it scores +inf (diverged or
+    unscored) and any other non-finite score are dropped, so an
+    initialization whose runs all diverged forms no group. The retry
+    planner counts those same runs as failures instead.
+    """
+    records = list(records)
     buckets: dict[int, list[float]] = {}
-    if callable(metric):
-        getter = metric
-    else:
-        getter = lambda r: getattr(r, metric)  # noqa: E731
-    for rec in records:
-        if getattr(rec, "diverged", False):
-            continue
-        val = getter(rec)
-        if val is None or not math.isfinite(float(val)):
-            continue
-        buckets.setdefault(int(rec.init_id), []).append(float(val))
+    for rec, val in zip(records, metric_values(records, metric)):
+        if math.isfinite(val):
+            buckets.setdefault(int(rec.init_id), []).append(val)
     if len(buckets) < 2:
         raise ValueError("need scored records from at least two initializations")
     ordered = [np.asarray(buckets[k]) for k in sorted(buckets)]
     return GroupedScores(tuple(ordered))
-
-
-def analyze_records(
-    records: Iterable,
-    metric: str = "recon_rmse",
-    alpha: float = 0.05,
-    adjust: str = "none",
-) -> StatReport:
-    """Group records by initialization and run the full test pipeline."""
-    return analyze_grouped(
-        group_scores(records, metric), alpha=alpha, metric=metric, adjust=adjust
-    )
 
 
 def write_stat_report(report: StatReport, out_dir) -> list[Path]:

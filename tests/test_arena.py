@@ -63,9 +63,9 @@ class TestLayout:
         assert not np.shares_memory(twin.flat_params, net.flat_params)
         np.testing.assert_array_equal(twin.flat_params, net.flat_params)
         x = _batches(14, 1)[0]
-        grads = _grads(twin, x, seed=1)
+        _grads(twin, x, seed=1)
         before = net.flat_params.copy()
-        nn.apply_gradients(twin, grads, nn.AdamState(learning_rate=0.05))
+        nn.apply_gradients(twin, nn.AdamState(learning_rate=0.05))
         np.testing.assert_array_equal(net.flat_params, before)
         for name, arr in twin.named_parameters().items():
             np.testing.assert_array_equal(arr.ravel(), twin.flat_params[twin.param_slices[name]])
@@ -104,66 +104,44 @@ class TestAdam:
             grads_slow = {k: v.copy() for k, v in _grads(slow, x, seed=step).items()}
             for name in grads_fast:
                 np.testing.assert_array_equal(grads_fast[name], grads_slow[name])
-            nn.apply_gradients(fast, grads_fast, state_fast)
+            nn.apply_gradients(fast, state_fast)
             slow.set_parameters(nn.adam_step(slow.named_parameters(), grads_slow, state_slow))
             np.testing.assert_array_equal(fast.flat_params, slow.flat_params)
-            for name in state_slow.m:
-                np.testing.assert_array_equal(state_fast.m[name], state_slow.m[name])
-                np.testing.assert_array_equal(state_fast.v[name], state_slow.v[name])
+            np.testing.assert_array_equal(state_fast.m, state_slow.m)
+            np.testing.assert_array_equal(state_fast.v, state_slow.v)
         assert state_fast.t == state_slow.t == 20
-        if arch == "original":
-            assert {"enc8.gamma", "enc8.beta", "enc9.alpha"} <= set(state_fast.m)
+        assert state_fast.m.shape == state_fast.v.shape == fast.flat_params.shape
 
-    def test_plain_dict_gradients_take_the_same_update(self):
-        net = _net("original", {"gd_rate": 0.1})
-        twin = copy.deepcopy(net)
-        state, twin_state = nn.AdamState(), nn.AdamState()
-        for step, x in enumerate(_batches(14, 3)):
-            nn.apply_gradients(net, _grads(net, x, step), state)
-            plain = {k: v.tolist() for k, v in _grads(twin, x, step).items()}
-            nn.apply_gradients(twin, plain, twin_state)
-            np.testing.assert_array_equal(net.flat_params, twin.flat_params)
-
-    def test_moments_carry_over_from_the_dict_path(self):
-        net = _net("basic", {"n1": 4})
-        twin = copy.deepcopy(net)
-        state, twin_state = nn.AdamState(), nn.AdamState()
-        batches = _batches(14, 4)
-        for step, x in enumerate(batches):
-            nn.apply_gradients(net, _grads(net, x, step), state)
-            grads = {k: v.copy() for k, v in _grads(twin, x, step).items()}
-            if step < 2:
-                twin.set_parameters(nn.adam_step(twin.named_parameters(), grads, twin_state))
-            else:
-                nn.apply_gradients(twin, grads, twin_state)
-            np.testing.assert_array_equal(net.flat_params, twin.flat_params)
-
-    @pytest.mark.parametrize("plain", [False, True])
-    def test_nonfinite_gradient_touches_nothing(self, plain):
+    def test_nonfinite_gradient_touches_nothing(self):
         net = _net("original", {"gd_rate": 0.1})
         state = nn.AdamState()
         x = _batches(14, 2)
-        nn.apply_gradients(net, _grads(net, x[0], 0), state)
+        _grads(net, x[0], 0)
+        nn.apply_gradients(net, state)
         grads = _grads(net, x[1], 1)
-        if plain:
-            grads = {k: v.copy() for k, v in grads.items()}
         grads["enc2.weight"][0, 1] = np.inf
         grads["enc8.gamma"][0] = np.nan
-        params, m = net.flat_params.copy(), state._arena[1].copy()
-        with pytest.raises(nn.DivergenceError, match="enc8.gamma"):
-            nn.apply_gradients(net, grads, state)
+        params, m, v = net.flat_params.copy(), state.m.copy(), state.v.copy()
+        # the first bad parameter in arena order
+        with pytest.raises(nn.DivergenceError, match="enc2.weight"):
+            nn.apply_gradients(net, state)
         assert state.t == 1
         np.testing.assert_array_equal(net.flat_params, params)
-        np.testing.assert_array_equal(state._arena[1], m)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
 
     def test_mismatched_names_and_shapes_rejected(self):
+        # the checks live on adam_step, the reference that the arena update matches
         net = _net("basic", {"n1": 4})
-        grads = {k: np.zeros_like(v) for k, v in net.named_parameters().items()}
+        params = net.named_parameters()
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        state = nn.AdamState()
         with pytest.raises(ValueError, match="name sets"):
-            nn.apply_gradients(net, {k: grads[k] for k in list(grads)[1:]}, nn.AdamState())
+            nn.adam_step(params, {k: grads[k] for k in list(grads)[1:]}, state)
         grads["dec.weight"] = np.zeros(3)
         with pytest.raises(ValueError, match="shape mismatch"):
-            nn.apply_gradients(net, grads, nn.AdamState())
+            nn.adam_step(params, grads, state)
+        assert state.t == 0 and state.m is None and state.v is None
 
 
 class TestGather:

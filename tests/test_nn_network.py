@@ -229,8 +229,8 @@ class TestForwardContracts:
         x = np.random.default_rng(33).uniform(0, 1, (6, 4))
         recon, _, cache = nn.forward(net, x, mode=nn.TRAIN)
         _, lg = mse_loss(x, recon)
-        grads = nn.backward(net, cache, lg)
-        nn.apply_gradients(net, grads, nn.AdamState())
+        nn.backward(net, cache, lg)
+        nn.apply_gradients(net, nn.AdamState())
         with pytest.raises(nn.CacheError):
             nn.backward(net, cache, lg)
 
@@ -284,8 +284,13 @@ class TestAdam:
             nn.adam_step(params, {"w": np.array([1.0, np.nan])}, nn.AdamState())
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            nn.adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, nn.AdamState())
+        params = {"w": np.zeros(2), "b": np.zeros(1)}
+        for grads, match in [({"w": np.zeros(3), "b": np.zeros(1)}, "shape mismatch"),
+                             ({"w": np.zeros(2)}, "name sets")]:
+            state = nn.AdamState()
+            with pytest.raises(ValueError, match=match):
+                nn.adam_step(params, grads, state)
+            assert state.t == 0 and state.m is None
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -295,14 +300,17 @@ class TestAdam:
 
 
 class TestCheckpoints:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        net = nn.build_network("original", 14, 3, gd_rate=0.1)
+    @pytest.mark.parametrize("arch,kwargs", [("original", {"gd_rate": 0.1}), ("basic", {"n1": 3})],
+                             ids=["original", "basic"])
+    def test_roundtrip_bit_exact(self, tmp_path, arch, kwargs):
+        net = nn.build_network(arch, 14, 3, **kwargs)
         nn.initialize_network(net, "khu", seed=40)
         # advance running stats so buffers are nontrivial
         x = np.random.default_rng(41).uniform(0, 1, (14, 16))
         recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=2)
         _, lg = mse_loss(x, recon)
-        nn.apply_gradients(net, nn.backward(net, cache, lg), nn.AdamState())
+        nn.backward(net, cache, lg)
+        nn.apply_gradients(net, nn.AdamState())
         path = tmp_path / "net.ckpt"
         nn.save_checkpoint(net, path)
         loaded = nn.load_checkpoint(path)
@@ -310,12 +318,20 @@ class TestCheckpoints:
             np.testing.assert_array_equal(loaded.named_parameters()[name], arr)
         for name, arr in net.named_buffers().items():
             np.testing.assert_array_equal(loaded.named_buffers()[name], arr)
-        assert loaded.arch == "original"
+        assert [l.spec() for l in loaded.encoder] == [l.spec() for l in net.encoder]
+        assert loaded.decoder.spec() == net.decoder.spec()
+        assert loaded.arch == arch
         assert loaded.meta["init_scheme"] == "he_uniform"
         # outputs agree bit for bit
         r1, a1, _ = nn.forward(net, x, mode=nn.EVAL)
         r2, a2, _ = nn.forward(loaded, x, mode=nn.EVAL)
         np.testing.assert_array_equal(r1, r2)
+
+    def test_unknown_layer_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown layer kind 'conv'"):
+            nn.layer_from_spec({"kind": "conv", "features": 3})
+        with pytest.raises(ValueError, match="unknown layer kind None"):
+            nn.layer_from_spec({"features": 3})
 
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         net = nn.build_network("basic", 8, 2, n1=3)

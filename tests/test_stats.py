@@ -46,6 +46,23 @@ class TestMidranks:
             n = v.size
             assert r.sum() == pytest.approx(n * (n + 1) / 2)
 
+    def test_matches_the_counting_definition(self):
+        """rank(x) = #(v < x) + (#(v == x) + 1) / 2, over every element."""
+        rng = np.random.default_rng(1)
+        cases = [np.array([np.inf, -np.inf, 0.0, np.inf, -0.0, -np.inf, 2.5])]
+        for _ in range(50):
+            v = rng.integers(-3, 4, size=rng.integers(1, 40)).astype(float)
+            v[rng.random(v.size) < 0.1] = np.inf
+            v[rng.random(v.size) < 0.1] = -np.inf
+            cases.append(v)
+        for v in cases:
+            expected = [np.sum(v < x) + (np.sum(v == x) + 1) / 2 for x in v]
+            np.testing.assert_array_equal(midranks(v), expected)
+
+    def test_nans_rank_last_in_position_order(self):
+        np.testing.assert_array_equal(midranks([np.nan, 1.0, np.nan, 1.0]),
+                                      [3, 1.5, 4, 1.5])
+
 
 def exhaustive_kw_p(groups):
     """Exact permutation p-value by enumerating all group assignments.
@@ -429,6 +446,18 @@ class TestPipeline:
         g = group_scores(recs, "recon_rmse")
         assert g.sizes == (2, 2, 2)
         np.testing.assert_array_equal(g.groups[2], [5, 6])
+
+    def test_all_diverged_init_drops_from_groups_but_fails_in_planner(self):
+        recs = self._records([[1, 2], [3, 4], [5, 6]])
+        for rec in recs[4:]:
+            rec.diverged, rec.recon_rmse = True, None
+        g = group_scores(recs, "recon_rmse")
+        assert g.sizes == (2, 2)
+        assert estimate_success_prob(recs, "recon_rmse", 10.0) == pytest.approx(4 / 6)
+
+    def test_group_scores_rejects_unknown_metric(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            group_scores(self._records([[1, 2], [3, 4]]), "recon_mse")
 
     def test_report_files(self, tmp_path):
         report = analyze_grouped([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
