@@ -31,7 +31,9 @@ from .lmm import HsiBundle, min_max_scale
 from .metrics import (
     MAX_EXHAUSTIVE_ENDMEMBERS,
     DegenerateSpectrumError,
+    lenient_angles,
     mse_loss,
+    rmse_overwriting,
     sad_loss,
     unmixing_errors,
 )
@@ -329,18 +331,6 @@ def _mean_std(g: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(np.add.reduce(dev) / g.size))
 
 
-def _mean_angle_lenient(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean column angle; columns with a zero-norm side count as pi/2."""
-    nx = np.linalg.norm(x, axis=0)
-    nh = np.linalg.norm(x_hat, axis=0)
-    ok = (nx > 0) & (nh > 0)
-    angles = np.full(x.shape[1], np.pi / 2.0)
-    if np.any(ok):
-        cos = np.einsum("ij,ij->j", x[:, ok], x_hat[:, ok]) / (nx[ok] * nh[ok])
-        angles[ok] = np.arccos(np.clip(cos, -1.0, 1.0))
-    return float(angles.mean())
-
-
 def _check_scorable(data: HsiBundle) -> None:
     """Reject ground truth that unmixing_errors cannot match, before any
     training is spent on it."""
@@ -407,6 +397,9 @@ def train_once(
     # transpose is the F-ordered (bands x batch) array x[:, idx] returns, so
     # every matmul sees the same operand layout and rounds the same.
     xt = np.ascontiguousarray(x.T)
+    # the step's activations and input gradients live in reused buffers;
+    # the pixels were checked for finiteness when the bundle was built
+    workspace = nn.Workspace(net)
     rng_run = np.random.default_rng(run_seed)
     iteration = 0
     diverged = False
@@ -426,7 +419,8 @@ def train_once(
                 iteration += 1
                 try:
                     recon, _, cache = nn.forward(
-                        net, xb, mode=nn.TRAIN, seed=dropout_seed
+                        net, xb, mode=nn.TRAIN, seed=dropout_seed,
+                        workspace=workspace,
                     )
                     value, loss_grad = loss_fn(xb, recon)
                 except DegenerateSpectrumError:
@@ -449,14 +443,17 @@ def train_once(
                     break
             if diverged:
                 break
-    del xt  # before the full-scene forward, so peak memory does not grow
+    del xt, workspace  # before the full-scene forward
 
     recon_rmse = recon_sad = abundance_rmse = endmember_sad = None
     permutation = None
     if not diverged:
-        recon, abundances, _ = nn.forward(net, x, mode=nn.EVAL)
-        recon_rmse = float(np.sqrt(np.mean((x - recon) ** 2)))
-        recon_sad = _mean_angle_lenient(x, recon)
+        # The scene-sized arrays here are x and recon: the angle works in
+        # column blocks, the RMSE then overwrites recon, and the eval cache
+        # (every hidden activation of the scene) is dropped at once.
+        recon, abundances = nn.forward(net, x, mode=nn.EVAL)[:2]
+        recon_sad = float(lenient_angles(x, recon).mean())
+        recon_rmse = rmse_overwriting(x, recon)
         if bundle.ground_truth is not None:
             try:
                 pair, permutation = unmixing_errors(

@@ -19,6 +19,9 @@ NDArrayF = npt.NDArray[np.float64]
 
 COS_CLAMP = 1.0 - 1e-7
 MAX_EXHAUSTIVE_ENDMEMBERS = 10
+# columns per block of lenient_angles: its temporaries are bands x 1024,
+# not bands x pixels
+ANGLE_BLOCK_COLUMNS = 1024
 
 
 class DegenerateSpectrumError(ValueError):
@@ -33,8 +36,10 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     diff = x_hat - x
     value = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return value, grad
+    # the gradient 2.0 * diff / diff.size, formed in diff's own memory
+    diff *= 2.0
+    diff /= diff.size
+    return value, diff
 
 
 def sad_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
@@ -79,6 +84,49 @@ def spectral_angle(u: np.ndarray, v: np.ndarray) -> float:
         raise DegenerateSpectrumError("zero-norm spectrum")
     c = float(np.dot(u, v) / (nu * nv))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def lenient_angles(x: np.ndarray, x_hat: np.ndarray) -> NDArrayF:
+    """Angle between each pair of matching columns; a column with a
+    zero-norm side gets pi/2.
+
+    The columns are taken ANGLE_BLOCK_COLUMNS at a time, so no temporary is
+    as large as the inputs. Each column's norm and dot product depend on
+    that column alone (an axis-0 norm of a C-ordered block adds its rows in
+    order per column; einsum reads each F-ordered column on its own), so
+    every angle has the bits of the same formula over the whole matrix.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x.shape != x_hat.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    angles = np.full(x.shape[1], np.pi / 2.0)
+    for start in range(0, x.shape[1], ANGLE_BLOCK_COLUMNS):
+        cols = slice(start, start + ANGLE_BLOCK_COLUMNS)
+        xb, hb = x[:, cols], x_hat[:, cols]
+        nx = np.linalg.norm(xb, axis=0)
+        nh = np.linalg.norm(hb, axis=0)
+        ok = (nx > 0) & (nh > 0)
+        if np.any(ok):
+            # boolean column indexing makes the F-ordered operands
+            cos = np.einsum("ij,ij->j", xb[:, ok], hb[:, ok]) / (nx[ok] * nh[ok])
+            angles[cols][ok] = np.arccos(np.clip(cos, -1.0, 1.0))
+    return angles
+
+
+def rmse_overwriting(x: np.ndarray, x_hat: np.ndarray) -> float:
+    """sqrt(mean((x - x_hat) ** 2)), computed in x_hat's own memory, which
+    it overwrites; x_hat must be a writable float64 array of x's shape.
+
+    The bits are those of the formula when x_hat is C-ordered, as a network
+    reconstruction is: x - x_hat is then C-ordered as well, so the mean adds
+    the squares in the same order.
+    """
+    if x.shape != x_hat.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    np.subtract(x, x_hat, out=x_hat)
+    np.square(x_hat, out=x_hat)
+    return float(np.sqrt(np.mean(x_hat)))
 
 
 Permutation = tuple[int, ...]

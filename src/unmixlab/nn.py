@@ -9,6 +9,12 @@ readable as endmember spectra.
 All math is float64. Every layer implements an explicit backward rule, and
 gradients are validated against central finite differences in the test
 suite.
+
+A layer's forward and backward take a dict of buffers as their last
+argument: an array kept there from an earlier call is reused as the `out=`
+of the operation that made it, and the new result is kept again. Without a
+Workspace the dict is _NO_BUFFERS, which keeps nothing, so every call
+allocates as if no buffers existed.
 """
 
 from __future__ import annotations
@@ -95,8 +101,33 @@ def init_weights(
     return w, bias
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+class _NoBuffers:
+    """The buffer dict of an allocating call: it holds and keeps nothing."""
+
+    def get(self, name):
+        return None
+
+    def __setitem__(self, name, arr):
+        pass
+
+
+_NO_BUFFERS = _NoBuffers()
+
+
+def _where_into(out, mask, x):
+    """np.where(mask, x, 0.0), written into out when there is one. Zero
+    first, then copy: x * mask would turn a negative or -0.0 entry into
+    -0.0 and a masked NaN into NaN, where np.where gives +0.0."""
+    if out is None:
+        return np.where(mask, x, 0.0)
+    out.fill(0.0)
+    np.copyto(out, x, where=mask)
+    return out
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -139,20 +170,22 @@ class Linear:
             )
         return self.out_features
 
-    def forward(self, x, mode, rng, cache):
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
         cache["x"] = x
-        y = self.weight @ x
+        y = bufs["y"] = np.matmul(self.weight, x, out=bufs.get("y"))
         if self.has_bias:
             y += self.bias[:, None]
         return y
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
         out = self.grad_views
         grads = {"weight": np.matmul(dy, cache["x"].T, out=out.get("weight"))}
         if self.has_bias:
             grads["bias"] = np.sum(dy, axis=1, out=out.get("bias"))
-        # nothing reads the gradient of the batch itself
-        dx = None if cache.get("skip_dx") else self.weight.T @ dy
+        if cache.get("skip_dx"):
+            # nothing reads the gradient of the batch itself
+            return None, grads
+        dx = bufs["dx"] = np.matmul(self.weight.T, dy, out=bufs.get("dx"))
         return dx, grads
 
 
@@ -169,14 +202,16 @@ class Sigmoid:
     def out_width(self, width: int) -> int:
         return width
 
-    def forward(self, x, mode, rng, cache):
-        y = _sigmoid(x)
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
+        y = bufs["y"] = _sigmoid(x, out=bufs.get("y"))
         cache["y"] = y
         return y
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
         y = cache["y"]
-        return dy * y * (1.0 - y), {}
+        dx = bufs["dx"] = np.multiply(dy, y, out=bufs.get("dx"))
+        dx *= 1.0 - y
+        return dx, {}
 
 
 class ReLU:
@@ -192,13 +227,15 @@ class ReLU:
     def out_width(self, width: int) -> int:
         return width
 
-    def forward(self, x, mode, rng, cache):
-        mask = x > 0
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
+        mask = bufs["mask"] = np.greater(x, 0, out=bufs.get("mask"))
         cache["mask"] = mask
-        return np.where(mask, x, 0.0)
+        y = bufs["y"] = _where_into(bufs.get("y"), mask, x)
+        return y
 
-    def backward(self, dy, cache):
-        return dy * cache["mask"], {}
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
+        dx = bufs["dx"] = np.multiply(dy, cache["mask"], out=bufs.get("dx"))
+        return dx, {}
 
 
 class BatchNorm:
@@ -237,7 +274,7 @@ class BatchNorm:
             raise ValueError(f"batch norm expects width {self.features}, got {width}")
         return width
 
-    def forward(self, x, mode, rng, cache):
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
         if mode == TRAIN:
             m = x.shape[1]
             if m < 2:
@@ -252,12 +289,15 @@ class BatchNorm:
             mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (x - mean[:, None]) * inv[:, None]
+        x_hat = bufs["x_hat"] = np.subtract(x, mean[:, None], out=bufs.get("x_hat"))
+        x_hat *= inv[:, None]
         cache["x_hat"] = x_hat
         cache["inv"] = inv
-        return self.gamma[:, None] * x_hat + self.beta[:, None]
+        y = bufs["y"] = np.multiply(self.gamma[:, None], x_hat, out=bufs.get("y"))
+        y += self.beta[:, None]
+        return y
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
         x_hat = cache["x_hat"]
         inv = cache["inv"]
         m = dy.shape[1]
@@ -267,11 +307,12 @@ class BatchNorm:
             "beta": np.sum(dy, axis=1, out=out.get("beta")),
         }
         dxh = dy * self.gamma[:, None]
-        dx = (inv[:, None] / m) * (
+        inner = (
             m * dxh
             - dxh.sum(axis=1, keepdims=True)
             - x_hat * (dxh * x_hat).sum(axis=1, keepdims=True)
         )
+        dx = bufs["dx"] = np.multiply(inv[:, None] / m, inner, out=bufs.get("dx"))
         return dx, grads
 
 
@@ -304,14 +345,15 @@ class SoftThreshold:
             )
         return width
 
-    def forward(self, x, mode, rng, cache):
-        z = x - self.alpha[:, None]
-        mask = z > 0
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
+        z = bufs["z"] = np.subtract(x, self.alpha[:, None], out=bufs.get("z"))
+        mask = bufs["mask"] = np.greater(z, 0, out=bufs.get("mask"))
         cache["mask"] = mask
-        return np.where(mask, z, 0.0)
+        y = bufs["y"] = _where_into(bufs.get("y"), mask, z)
+        return y
 
-    def backward(self, dy, cache):
-        dz = dy * cache["mask"]
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
+        dz = bufs["dx"] = np.multiply(dy, cache["mask"], out=bufs.get("dx"))
         alpha = np.sum(dz, axis=1, out=self.grad_views.get("alpha"))
         return dz, {"alpha": np.negative(alpha, out=alpha)}
 
@@ -339,25 +381,28 @@ class SumToOne:
     def out_width(self, width: int) -> int:
         return width
 
-    def forward(self, x, mode, rng, cache):
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
         s_raw = x.sum(axis=0, keepdims=True)
         dead = s_raw == 0.0
         s = s_raw + SUM_TO_ONE_GUARD
-        y = x / s
+        y = bufs["y"] = np.divide(x, s, out=bufs.get("y"))
         if dead.any():
-            y = np.where(dead, 1.0 / x.shape[0], y)
+            np.copyto(y, 1.0 / x.shape[0], where=dead)
         cache["y"] = y
         cache["s"] = s
         cache["dead"] = dead
         return y
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
         y = cache["y"]
         s = cache["s"]
-        dx = (dy - (dy * y).sum(axis=0, keepdims=True)) / s
+        dx = bufs["dx"] = np.subtract(
+            dy, (dy * y).sum(axis=0, keepdims=True), out=bufs.get("dx")
+        )
+        dx /= s
         dead = cache["dead"]
         if dead.any():
-            dx = np.where(dead, 0.0, dx)
+            np.copyto(dx, 0.0, where=dead)
         return dx, {}
 
 
@@ -385,20 +430,25 @@ class GaussianDropout:
     def out_width(self, width: int) -> int:
         return width
 
-    def forward(self, x, mode, rng, cache):
+    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
         if mode != TRAIN or self.rate == 0.0:
             cache["noise"] = None
             return x
         sigma = np.sqrt(self.rate / (1.0 - self.rate))
-        noise = 1.0 + sigma * rng.standard_normal(x.shape)
+        # 1.0 + sigma * z, with the draw made into the kept buffer
+        noise = bufs["noise"] = rng.standard_normal(x.shape, out=bufs.get("noise"))
+        noise *= sigma
+        noise += 1.0
         cache["noise"] = noise
-        return x * noise
+        y = bufs["y"] = np.multiply(x, noise, out=bufs.get("y"))
+        return y
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, bufs=_NO_BUFFERS):
         noise = cache["noise"]
         if noise is None:
             return dy, {}
-        return dy * noise, {}
+        dx = bufs["dx"] = np.multiply(dy, noise, out=bufs.get("dx"))
+        return dx, {}
 
 
 _LAYER_CLASSES = {
@@ -620,6 +670,39 @@ class _LazyRng:
         return getattr(self._gen, name)
 
 
+class Workspace:
+    """Train-mode buffers that a training loop keeps for one network.
+
+    A forward through a workspace writes every layer's output, mask and
+    input gradient into the arrays of the last forward with the same batch
+    shape and layout, so a steady loop allocates no new activations. Each
+    distinct batch shape gets its own set (an epoch's short last batch does
+    not evict the full-width one).
+
+    Aliasing: the reconstruction and abundances that forward returns, the
+    contents of its cache and the input gradients that backward passes
+    between layers are workspace arrays, overwritten by the next forward
+    through the same workspace. Each forward bumps `generation`, and
+    backward refuses a cache of an older generation with CacheError. Copy
+    out whatever must outlive the step.
+    """
+
+    def __init__(self, net: Network):
+        self.net = net
+        self.generation = 0
+        self._sets: dict[tuple, list[dict]] = {}
+
+    def claim(self, x: np.ndarray) -> list[dict]:
+        """Start a forward of x: one buffer dict per encoder layer, then
+        the decoder's."""
+        key = (x.shape, x.strides)
+        bufs = self._sets.get(key)
+        if bufs is None:
+            bufs = self._sets[key] = [{} for _ in range(len(self.net.encoder) + 1)]
+        self.generation += 1
+        return bufs
+
+
 @dataclass
 class ForwardCache:
     """Intermediates from one forward call, consumed by backward."""
@@ -631,16 +714,26 @@ class ForwardCache:
     decoder_entry: dict
     abundances: NDArrayF
     latent: NDArrayF
+    buffers: list
+    workspace: Workspace | None = None
+    generation: int = 0
 
 
 def forward(
-    net: Network, batch: np.ndarray, mode: str = EVAL, seed: int = 0
+    net: Network, batch: np.ndarray, mode: str = EVAL, seed: int = 0,
+    workspace: Workspace | None = None,
 ) -> tuple[NDArrayF, NDArrayF, ForwardCache]:
     """Run the autoencoder on a (bands x batch) matrix.
 
     Returns (reconstruction, abundances, cache). Abundances are the
     sum-to-one layer output, before any dropout. Dropout noise is drawn
     from the given seed and is active in train mode only.
+
+    Without a workspace every result is a fresh array and the batch is
+    checked for non-finite entries. A workspace (train mode only) lends its
+    buffers instead, under the aliasing rule of Workspace, and skips that
+    scan: its caller feeds pixels that were checked once at the boundary,
+    as an HsiBundle's are.
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be {TRAIN!r} or {EVAL!r}")
@@ -651,14 +744,22 @@ def forward(
         )
     if x.shape[1] < 1:
         raise ValueError("batch must hold at least one column")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite batch input")
+    if workspace is None:
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite batch input")
+        bufs = [_NO_BUFFERS] * (len(net.encoder) + 1)
+    else:
+        if workspace.net is not net:
+            raise ValueError("workspace was made for a different network")
+        if mode != TRAIN:
+            raise ValueError("a workspace serves train-mode forwards only")
+        bufs = workspace.claim(x)
     rng = _LazyRng(seed)
     entries = []
     abundances = None
     for i, layer in enumerate(net.encoder):
         entry: dict = {} if i else {"skip_dx": True}
-        x = layer.forward(x, mode, rng, entry)
+        x = layer.forward(x, mode, rng, entry, bufs[i])
         entries.append(entry)
         if i == net.sum_to_one_index:
             abundances = x
@@ -666,7 +767,7 @@ def forward(
     if abundances is None:
         abundances = latent
     decoder_entry: dict = {}
-    recon = net.decoder.forward(latent, mode, rng, decoder_entry)
+    recon = net.decoder.forward(latent, mode, rng, decoder_entry, bufs[-1])
     cache = ForwardCache(
         net=net,
         version=net.version,
@@ -675,6 +776,9 @@ def forward(
         decoder_entry=decoder_entry,
         abundances=abundances,
         latent=latent,
+        buffers=bufs,
+        workspace=workspace,
+        generation=0 if workspace is None else workspace.generation,
     )
     return recon, abundances, cache
 
@@ -686,8 +790,9 @@ def backward(
 
     loss_grad is dL/d(reconstruction) from the loss function. The cache must
     come from a train-mode forward on this exact network with no parameter
-    update in between. The returned arrays are views into net.flat_grads,
-    so the next backward on the network overwrites them.
+    update in between and, for a workspace forward, no later forward through
+    that workspace. The returned arrays are views into net.flat_grads, so
+    the next backward on the network overwrites them.
     """
     if cache.net is not net:
         raise CacheError("cache was built for a different network")
@@ -695,13 +800,16 @@ def backward(
         raise CacheError("stale cache: parameters changed since forward")
     if cache.mode != TRAIN:
         raise CacheError("backward needs a train-mode forward cache")
+    if cache.workspace is not None and cache.generation != cache.workspace.generation:
+        raise CacheError("stale cache: a later forward reused its workspace")
     dy = np.asarray(loss_grad, dtype=np.float64)
     grads: dict[str, NDArrayF] = {}
-    dy, dec_grads = net.decoder.backward(dy, cache.decoder_entry)
+    bufs = cache.buffers
+    dy, dec_grads = net.decoder.backward(dy, cache.decoder_entry, bufs[-1])
     for key, g in dec_grads.items():
         grads[f"dec.{key}"] = g
     for i in range(len(net.encoder) - 1, -1, -1):
-        dy, layer_grads = net.encoder[i].backward(dy, cache.entries[i])
+        dy, layer_grads = net.encoder[i].backward(dy, cache.entries[i], bufs[i])
         for key, g in layer_grads.items():
             grads[f"enc{i}.{key}"] = g
     return grads

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,22 @@ class TestTrainOnce:
         _, record, _ = train_once(config, plain, 1, 2)
         assert record.abundance_rmse is None
         assert record.recon_rmse is not None
+
+    def test_peak_memory_stays_below_two_scenes(self):
+        """Besides the pixels, a cell holds one scene-sized array at a time:
+        the pixel-major batch source while training, the reconstruction
+        while scoring (the angle works in column blocks and the RMSE
+        overwrites the reconstruction)."""
+        data = tiny_scene(bands=64, endmembers=3, pixels=20000, pure=0.1, seed=8)
+        config = tiny_config(epochs=1, batch_size=256, n1=10, learning_rate=0.005)
+        tracemalloc.start()
+        try:
+            _, record, _ = train_once(config, data, 1, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not record.diverged and record.recon_rmse is not None
+        assert peak <= 2.0 * data.pixels.nbytes, peak / data.pixels.nbytes
 
     def test_original_architecture_trains(self):
         data = tiny_scene(bands=14, endmembers=2, pixels=60)

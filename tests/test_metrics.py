@@ -8,18 +8,36 @@ import numpy as np
 import pytest
 
 from unmixlab.metrics import (
+    ANGLE_BLOCK_COLUMNS,
     DegenerateSpectrumError,
     ErrorPair,
     aggregate_errors,
     format_mean_std,
+    lenient_angles,
     match_endmembers,
     mse_loss,
     per_endmember_rmse,
     rmse_abundances,
+    rmse_overwriting,
     sad_endmembers,
     sad_loss,
     unmixing_errors,
 )
+
+
+def _bits(a):
+    """The raw bytes of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _scene_and_recon(bands, pixels, seed):
+    """A C-ordered scene and a reconstruction made the way a decoder makes
+    one, a C-ordered matmul output."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (bands, pixels))
+    w = rng.uniform(0.0, 1.0, (bands, 3))
+    a = rng.dirichlet(np.ones(3), size=pixels).T
+    return x, w @ a
 
 
 class TestMseLoss:
@@ -50,6 +68,23 @@ class TestMseLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse_loss(np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gradient_is_the_allocating_formula_bit_for_bit(self, order):
+        rng = np.random.default_rng(2)
+        x = np.asarray(rng.normal(size=(7, 9)), order=order)
+        x[0, 0], x[1, 1] = 0.0, -0.0
+        x_hat = rng.normal(size=(7, 9))
+        x_hat[0, 0] = -0.0
+        x_before, x_hat_before = x.copy(order="K"), x_hat.copy()
+        value, grad = mse_loss(x, x_hat)
+        diff = x_hat - x
+        assert value == float(np.mean(diff * diff))
+        ref = 2.0 * diff / diff.size
+        assert grad.shape == ref.shape and grad.strides == ref.strides
+        np.testing.assert_array_equal(_bits(grad), _bits(ref))
+        np.testing.assert_array_equal(_bits(x), _bits(x_before))
+        np.testing.assert_array_equal(_bits(x_hat), _bits(x_hat_before))
 
 
 class TestSadLoss:
@@ -107,6 +142,87 @@ class TestSadLoss:
         sad_value, _ = sad_loss(x, x.copy())
         assert mse_value == 0.0
         assert sad_value == pytest.approx(0.0, abs=1e-3)
+
+
+def _whole_matrix_angles(x, x_hat):
+    """The scoring pass's angles before column blocking: the oracle."""
+    nx = np.linalg.norm(x, axis=0)
+    nh = np.linalg.norm(x_hat, axis=0)
+    ok = (nx > 0) & (nh > 0)
+    angles = np.full(x.shape[1], np.pi / 2.0)
+    if np.any(ok):
+        cos = np.einsum("ij,ij->j", x[:, ok], x_hat[:, ok]) / (nx[ok] * nh[ok])
+        angles[ok] = np.arccos(np.clip(cos, -1.0, 1.0))
+    return angles
+
+
+def assert_angles_match_oracle(x, x_hat):
+    ref = _whole_matrix_angles(x, x_hat)
+    np.testing.assert_array_equal(_bits(lenient_angles(x, x_hat)), _bits(ref))
+
+
+class TestLenientAngles:
+    EDGE = ANGLE_BLOCK_COLUMNS
+
+    def _wide(self, bands, seed, order="C"):
+        x, recon = _scene_and_recon(bands, 2 * self.EDGE + 377, seed)
+        # zero-norm columns on both sides of the first block edge (pixels
+        # and reconstruction), both at once at the second, one at the end
+        x[:, [self.EDGE - 1, self.EDGE, 2 * self.EDGE]] = 0.0
+        recon[:, [self.EDGE - 2, self.EDGE + 1, 2 * self.EDGE, -1]] = 0.0
+        return np.asarray(x, order=order), recon
+
+    @pytest.mark.parametrize("bands,seed", [(9, 0), (64, 1), (156, 2), (3, 3)])
+    def test_blocks_match_the_whole_matrix_formula_bit_for_bit(self, bands, seed):
+        x, recon = self._wide(bands, seed)
+        assert x.shape[1] > 2 * ANGLE_BLOCK_COLUMNS
+        assert_angles_match_oracle(x, recon)
+
+    def test_f_ordered_pixels_match_too(self):
+        x, recon = self._wide(20, 4, order="F")
+        assert_angles_match_oracle(x, recon)
+
+    @pytest.mark.parametrize("pixels", [1, ANGLE_BLOCK_COLUMNS - 1, ANGLE_BLOCK_COLUMNS,
+                                        ANGLE_BLOCK_COLUMNS + 1])
+    def test_narrow_scenes(self, pixels):
+        x, recon = _scene_and_recon(12, pixels, 5)
+        assert_angles_match_oracle(x, recon)
+
+    def test_zero_norm_columns_count_as_right_angles(self):
+        x = np.ones((4, 3))
+        x[:, 2] = 0.0
+        x_hat = np.ones((4, 3))
+        x_hat[:, 1] = 0.0
+        np.testing.assert_allclose(lenient_angles(x, x_hat), [0.0, np.pi / 2.0, np.pi / 2.0],
+                                   atol=1e-7)
+        np.testing.assert_array_equal(lenient_angles(np.zeros((4, 3)), x_hat), np.pi / 2.0)
+
+    def test_inputs_untouched_and_shape_checked(self):
+        x, recon = self._wide(9, 6)
+        x_before, recon_before = x.copy(), recon.copy()
+        lenient_angles(x, recon)
+        np.testing.assert_array_equal(_bits(x), _bits(x_before))
+        np.testing.assert_array_equal(_bits(recon), _bits(recon_before))
+        with pytest.raises(ValueError):
+            lenient_angles(x, recon[:, 1:])
+
+
+class TestRmseOverwriting:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_allocating_formula_bit_for_bit(self, order):
+        x, recon = _scene_and_recon(64, 3001, 7)
+        x = np.asarray(x, order=order)
+        x[:, 5] = 0.0
+        ref = float(np.sqrt(np.mean((x - recon) ** 2)))
+        x_before = x.copy(order="K")
+        assert rmse_overwriting(x, recon) == ref
+        np.testing.assert_array_equal(_bits(x), _bits(x_before))
+        # recon held the squared residuals and is spent
+        assert recon.min() >= 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            rmse_overwriting(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestMatchEndmembers:
