@@ -59,7 +59,6 @@ from .harness import (
 )
 from .stats import (
     GroupedScores,
-    RetryPlan,
     StatReport,
     analyze_grouped,
     chi2_sf,
@@ -71,7 +70,6 @@ from .stats import (
     levene,
     midranks,
     ph_ratio,
-    plan_retries,
     required_trials,
     t_sf,
 )

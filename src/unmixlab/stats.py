@@ -90,61 +90,67 @@ def regularized_gamma_q(a: float, x: float) -> float:
     return _upper_gamma_cf(a, x)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
+def _floor_tiny(v: NDArrayF) -> NDArrayF:
+    v[np.abs(v) < _FPMIN] = _FPMIN
+    return v
+
+
+def _beta_cf(a: NDArrayF, b: NDArrayF, x: NDArrayF) -> NDArrayF:
+    """Lentz continued fraction of I_x(a, b), elementwise.
+
+    Every element runs the scalar recurrence's exact arithmetic and keeps
+    the h of the step at which its own |delt - 1| fell below _EPS; later
+    steps only move the elements still active.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        if abs(delt - 1.0) < _EPS:
-            break
+    c = np.ones_like(x)
+    d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
+    h = d.copy()
+    active = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # frozen elements may run off afterwards
+        for m in range(1, _ITMAX + 1):
+            m2 = 2 * m
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            d = 1.0 / _floor_tiny(1.0 + aa * d)
+            c = _floor_tiny(1.0 + aa / c)
+            h = np.where(active, h * (d * c), h)
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            d = 1.0 / _floor_tiny(1.0 + aa * d)
+            c = _floor_tiny(1.0 + aa / c)
+            delt = d * c
+            h = np.where(active, h * delt, h)
+            active &= ~(np.abs(delt - 1.0) < _EPS)
+            if not active.any():
+                break
     return h
+
+
+def _regularized_beta(a: float, b: float, x: NDArrayF) -> NDArrayF:
+    """I_x(a, b) elementwise over x in [0, 1] for one shape pair (a, b)."""
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    inner = ~((x <= 0.0) | (x >= 1.0))
+    x = x[inner]
+    # the prefactor stays on the math module, whose log may differ from
+    # numpy's by an ulp
+    lead = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    bt = np.array([
+        math.exp(lead + a * math.log(xi) + b * math.log1p(-xi)) for xi in x.tolist()
+    ])
+    front = x < (a + 1.0) / (a + b + 2.0)
+    cf = _beta_cf(
+        np.where(front, a, b), np.where(front, b, a), np.where(front, x, 1.0 - x)
+    )
+    out[inner] = np.where(front, bt * cf / a, 1.0 - bt * cf / b)
+    return out
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0, x in [0, 1]."""
     if a <= 0 or b <= 0:
         raise ValueError("shape parameters must be > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _beta_cf(a, b, x) / a
-    return 1.0 - bt * _beta_cf(b, a, 1.0 - x) / b
+    return float(_regularized_beta(a, b, np.array([x], dtype=np.float64))[0])
 
 
 def chi2_sf(x: float, df: float) -> float:
@@ -243,23 +249,37 @@ def _as_groups(groups) -> GroupedScores:
     return GroupedScores(tuple(groups))
 
 
-def _kw_statistic(values: NDArrayF, sizes: Sequence[int]) -> float:
-    """Tie-corrected Kruskal-Wallis H for pooled values split by sizes."""
+def _group_starts(sizes: Sequence[int]) -> npt.NDArray[np.intp]:
+    return np.cumsum([0, *sizes[:-1]])
+
+
+def _tie_denominator(values: NDArrayF) -> float:
     n = values.size
-    ranks = midranks(values)
-    h_raw = 0.0
-    start = 0
-    for sz in sizes:
-        r = ranks[start : start + sz].sum()
-        h_raw += r * r / sz
-        start += sz
-    h_raw = 12.0 / (n * (n + 1.0)) * h_raw - 3.0 * (n + 1.0)
     _, counts = np.unique(values, return_counts=True)
     tie_sum = float(np.sum(counts.astype(np.float64) ** 3 - counts))
-    denom = 1.0 - tie_sum / (n**3 - n)
+    return 1.0 - tie_sum / (n**3 - n)
+
+
+def _kw_from_rank_sums(
+    rank_sums: NDArrayF, sizes: Sequence[int], denom: float
+) -> float:
+    """Tie-corrected H from the group rank sums and the tie denominator.
+
+    The terms r*r/n_i add left to right, so any rank vector that gives the
+    same (exact, half-integer) rank sums gives the same bits of H.
+    """
     if denom <= 0.0:
         return 0.0
+    n = sum(sizes)
+    h_raw = np.add.accumulate(rank_sums * rank_sums / sizes)[-1]
+    h_raw = 12.0 / (n * (n + 1.0)) * h_raw - 3.0 * (n + 1.0)
     return max(float(h_raw) / denom, 0.0)
+
+
+def _kw_statistic(values: NDArrayF, sizes: Sequence[int]) -> float:
+    """Tie-corrected Kruskal-Wallis H for pooled values split by sizes."""
+    rank_sums = np.add.reduceat(midranks(values), _group_starts(sizes))
+    return _kw_from_rank_sums(rank_sums, sizes, _tie_denominator(values))
 
 
 def kruskal_wallis(
@@ -273,29 +293,37 @@ def kruskal_wallis(
     H rank-transforms the pooled scores, so it is invariant under strictly
     monotone transforms. The default p-value is the chi-square survival
     function at H with N-1 degrees of freedom; method="permutation" instead
-    estimates the p-value by Monte-Carlo reshuffling of group labels. When
-    every score is tied the statistic degenerates to (H=0, p=1).
+    estimates the p-value from n_resamples >= 1 Monte-Carlo reshufflings of
+    the group labels. Shuffling the scores permutes their midranks and keeps
+    the tie correction, so the pooled ranks are computed once and each
+    resample only shuffles them and sums them per group. When every score
+    is tied the statistic degenerates to (H=0, p=1).
     """
+    if method not in ("chi2", "permutation"):
+        raise ValueError(f"unknown method {method!r}")
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
     g = _as_groups(groups)
     if g.total < 3:
         raise ValueError("need at least 3 observations in total")
     pooled = g.pooled()
     sizes = g.sizes
-    h = _kw_statistic(pooled, sizes)
+    ranks = midranks(pooled)
+    starts = _group_starts(sizes)
+    denom = _tie_denominator(pooled)
+    h = _kw_from_rank_sums(np.add.reduceat(ranks, starts), sizes, denom)
     if method == "chi2":
         if h == 0.0 and np.all(pooled == pooled[0]):
             return 0.0, 1.0
         return h, chi2_sf(h, len(sizes) - 1)
-    if method == "permutation":
-        rng = np.random.default_rng(seed)
-        work = pooled.copy()
-        hits = 0
-        for _ in range(n_resamples):
-            rng.shuffle(work)
-            if _kw_statistic(work, sizes) >= h - 1e-12:
-                hits += 1
-        return h, (hits + 1.0) / (n_resamples + 1.0)
-    raise ValueError(f"unknown method {method!r}")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_resamples):
+        rng.shuffle(ranks)
+        rank_sums = np.add.reduceat(ranks, starts)
+        if _kw_from_rank_sums(rank_sums, sizes, denom) >= h - 1e-12:
+            hits += 1
+    return h, (hits + 1.0) / (n_resamples + 1.0)
 
 
 def levene(groups) -> tuple[float, float]:
@@ -341,8 +369,11 @@ def conover_iman(
     test is defined only after rejection.
 
     adjust="holm" applies a step-down adjustment over the pairs; default is
-    the raw p-values.
+    the raw p-values. Every pair's statistic and p-value comes from one
+    array pass.
     """
+    if adjust not in ("none", "holm"):
+        raise ValueError(f"unknown adjustment {adjust!r}")
     g = _as_groups(groups)
     pooled = g.pooled()
     sizes = g.sizes
@@ -359,37 +390,30 @@ def conover_iman(
     if n - n_groups < 1:
         raise ValueError("need more observations than groups")
     ranks = midranks(pooled)
-    rbar = np.empty(n_groups)
-    start = 0
-    for i, sz in enumerate(sizes):
-        rbar[i] = ranks[start : start + sz].mean()
-        start += sz
+    rbar = np.add.reduceat(ranks, _group_starts(sizes)) / sizes
     s2 = float((np.sum(ranks * ranks) - n * (n + 1.0) ** 2 / 4.0) / (n - 1.0))
     factor = s2 * (n - 1.0 - h) / (n - n_groups)
-    pmat = np.ones((n_groups, n_groups))
-    for i in range(n_groups):
-        for j in range(i + 1, n_groups):
-            diff = rbar[i] - rbar[j]
-            if factor <= 0.0:
-                p = 1.0 if diff == 0.0 else 0.0
-            else:
-                se = math.sqrt(factor * (1.0 / sizes[i] + 1.0 / sizes[j]))
-                p = min(1.0, 2.0 * t_sf(abs(diff) / se, n - n_groups))
-            pmat[i, j] = pmat[j, i] = p
+    iu = np.triu_indices(n_groups, 1)
+    diff = rbar[iu[0]] - rbar[iu[1]]
+    if factor <= 0.0:
+        raw = np.where(diff == 0.0, 1.0, 0.0)
+    else:
+        inv = 1.0 / np.asarray(sizes)
+        t = np.abs(diff) / np.sqrt(factor * (inv[iu[0]] + inv[iu[1]]))
+        df = n - n_groups
+        tail = 0.5 * _regularized_beta(df / 2.0, 0.5, df / (df + t * t))
+        raw = np.minimum(1.0, 2.0 * np.where(t == 0.0, 0.5, tail))
     if adjust == "holm":
-        iu = np.triu_indices(n_groups, 1)
-        raw = pmat[iu]
         order = np.argsort(raw, kind="stable")
         m = raw.size
         adj = np.empty_like(raw)
-        running = 0.0
-        for rank_pos, idx in enumerate(order):
-            running = max(running, (m - rank_pos) * raw[idx])
-            adj[idx] = min(1.0, running)
-        pmat[iu] = adj
-        pmat[(iu[1], iu[0])] = adj
-    elif adjust != "none":
-        raise ValueError(f"unknown adjustment {adjust!r}")
+        adj[order] = np.minimum(
+            1.0, np.maximum.accumulate((m - np.arange(m)) * raw[order])
+        )
+        raw = adj
+    pmat = np.ones((n_groups, n_groups))
+    pmat[iu] = raw
+    pmat[(iu[1], iu[0])] = raw
     return pmat
 
 
@@ -459,29 +483,6 @@ def required_trials(p_hat: float, p_req: float) -> int:
         return 1
     n = math.ceil(math.log1p(-p_req) / math.log1p(-p_hat))
     return max(1, n)
-
-
-@dataclass(frozen=True)
-class RetryPlan:
-    """How many retrainings reach the error threshold with given confidence."""
-
-    threshold: float
-    p_hat: float
-    p_req: float
-    n_req: int
-
-
-def plan_retries(
-    records: Iterable, metric, threshold: float, p_req: float = 0.95
-) -> RetryPlan:
-    """Estimate the success probability from records and size the retry count."""
-    p_hat = estimate_success_prob(records, metric, threshold)
-    return RetryPlan(
-        threshold=float(threshold),
-        p_hat=p_hat,
-        p_req=float(p_req),
-        n_req=required_trials(p_hat, p_req),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Reference values were tabulated with an arbitrary-precision library
 (40 significant digits) and frozen here as literals; the implementation
-must match each to 1e-10 absolute.
+must match each to 1e-10 absolute. The beta-based functions must also
+equal the scalar continued fraction in stats_oracles bit for bit.
 """
 
 import math
+import struct
 
 import pytest
 
@@ -16,6 +18,8 @@ from unmixlab.stats import (
     regularized_gamma_q,
     t_sf,
 )
+
+import stats_oracles as oracles
 
 CHI2_REFERENCE = [
     (7.2, 2, 0.027323722447292558),
@@ -115,3 +119,40 @@ def test_invalid_arguments_rejected():
         f_sf(-0.1, 2, 2)
     with pytest.raises(ValueError):
         regularized_gamma_q(-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the scalar continued fraction
+# ---------------------------------------------------------------------------
+
+SHAPES = (0.5, 1.0, 1.7, 4.2, 24.5, 1222.0)
+X_GRID = (0.0, 1e-300, 1e-12, 0.001, 0.05, 0.2, 0.37, 0.5, 0.63, 0.8, 0.95,
+          0.999, 0.99877, 1.0 - 1e-12, 1.0)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def test_beta_grid_covers_both_continued_fraction_branches():
+    front = [x < (a + 1.0) / (a + b + 2.0)
+             for a in SHAPES for b in SHAPES for x in X_GRID if 0.0 < x < 1.0]
+    assert any(front) and not all(front)
+
+
+@pytest.mark.parametrize("a", SHAPES)
+def test_regularized_beta_is_the_scalar_oracle_bit_for_bit(a):
+    for b in SHAPES:
+        for x in X_GRID:
+            got, want = regularized_beta(a, b, x), oracles.regularized_beta(a, b, x)
+            assert _bits(got) == _bits(want), (a, b, x, got, want)
+
+
+def test_t_and_f_sf_are_the_scalar_oracle_bit_for_bit():
+    for df in (1, 2, 3, 12, 97, 2444):
+        for x in (-40.0, -1.3, -1e-9, 0.0, 1e-9, 0.05, 0.7, 2.5, 6.5, 40.0,
+                  math.inf, -math.inf):
+            assert _bits(t_sf(x, df)) == _bits(oracles.t_sf(x, df)), (x, df)
+    for d1, d2 in ((1, 48), (2, 8), (3, 10), (9, 40), (49, 2450)):
+        for x in (0.0, 0.01, 0.3, 1.0, 1.2, 2.5, 7.7, 35.0, 1e6, math.inf):
+            assert _bits(f_sf(x, d1, d2)) == _bits(oracles.f_sf(x, d1, d2)), (x, d1, d2)

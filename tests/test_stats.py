@@ -21,11 +21,29 @@ from unmixlab.stats import (
     levene,
     midranks,
     ph_ratio,
-    plan_retries,
     required_trials,
     write_stat_report,
 )
+from unmixlab import stats
 from unmixlab.stats import _kw_statistic
+
+import stats_oracles as oracles
+
+
+def stats_50x50_groups(seed):
+    """50 groups of up to 50 tied scores shaped like a 50x50 grid's.
+
+    Scores are rounded to 4 decimals, so many tie; six runs are dropped as
+    diverged, so the group sizes differ.
+    """
+    rng = np.random.default_rng([seed, 4])
+    effect = np.exp(0.08 * rng.standard_normal(50))
+    scores = np.round(
+        0.02 * effect[:, None] * np.exp(0.2 * rng.standard_normal((50, 50))), 4)
+    kept = np.ones(2500, dtype=bool)
+    kept[rng.choice(2500, 6, replace=False)] = False
+    kept = kept.reshape(50, 50)
+    return [scores[i][kept[i]] for i in range(50)]
 
 
 class TestMidranks:
@@ -167,6 +185,43 @@ class TestKruskalWallis:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             kruskal_wallis([[1.0, 2.0], []])
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"method": "permutation", "n_resamples": 0}, "n_resamples"),
+        ({"method": "permutation", "n_resamples": -1}, "n_resamples"),
+        ({"method": "permutation", "n_resamples": -2}, "n_resamples"),
+        ({"method": "exact"}, "unknown method"),
+    ], ids=["zero-resamples", "minus-one", "minus-two", "unknown-method"])
+    def test_bad_arguments_rejected_before_ranking(self, monkeypatch, kwargs, message):
+        def no_ranking(values):
+            raise AssertionError("ranked before the arguments were checked")
+
+        monkeypatch.setattr(stats, "midranks", no_ranking)
+        with pytest.raises(ValueError, match=message):
+            kruskal_wallis([[1.0, 2.0], [3.0, 4.0]], **kwargs)
+
+    def test_permutation_is_the_reranking_loop_bit_for_bit(self):
+        """Shuffled precomputed ranks give the re-ranking loop's (H, p)."""
+        rng = np.random.default_rng(13)
+        cases = [
+            ([[1.0], [2.0, 3.0], [4.0]], 300, 0),  # size-1 groups
+            ([[2.0, 2.0], [2.0, 2.0, 2.0]], 50, 1),  # all tied: H = 0
+            ([[1.0, 2.0, 2.0], [2.0, 5.0], [0.5]], 1, 2),  # one resample
+            (stats_50x50_groups(911), 100, 911),
+        ]
+        for k in range(40):
+            groups = [
+                rng.integers(0, rng.integers(2, 8), size=rng.integers(1, 12)).astype(float)
+                for _ in range(rng.integers(2, 7))
+            ]
+            if sum(g.size for g in groups) >= 3:
+                cases.append((groups, 300, k))
+        for groups, n_resamples, seed in cases:
+            got = kruskal_wallis(groups, method="permutation",
+                                 n_resamples=n_resamples, seed=seed)
+            assert got == oracles.kw_permutation(groups, n_resamples, seed), groups
+        assert kruskal_wallis(cases[1][0], method="permutation",
+                              n_resamples=50, seed=1) == (0.0, 1.0)
 
     def test_under_null_rejection_rate(self):
         """Seeded H0 simulations reject at about the nominal 5% level."""
@@ -315,6 +370,44 @@ class TestConoverIman:
         for (i, j), p_ref in ref.items():
             assert abs(pm[i, j] - p_ref) < 0.03, ((i, j), pm[i, j], p_ref)
 
+    def test_matrix_is_the_scalar_pair_loop_bit_for_bit(self):
+        """Raw and Holm matrices equal the pair-by-pair scalar loop.
+
+        The Holm case compares the array step-down with the one-at-a-time
+        loop in stats_oracles.holm.
+        """
+        rng = np.random.default_rng(14)
+        cases = [
+            stats_50x50_groups(912),
+            # H > n - 1 by rounding, so factor <= 0 and p is 0 or 1
+            [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]],
+            [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0]],
+        ]
+        while len(cases) < 40:
+            # small integer scores: equal rank means, so diff == 0 pairs
+            groups = [rng.integers(0, 4, size=rng.integers(1, 7)).astype(float) + i // 2
+                      for i in range(rng.integers(3, 10))]
+            if kruskal_wallis(groups)[1] < 0.05:
+                cases.append(groups)
+        zero_diff_cases = 0
+        for groups in cases:
+            pooled = np.concatenate(groups)
+            h = oracles.kw_statistic(pooled, [len(g) for g in groups])
+            for adjust in ("none", "holm"):
+                want = oracles.conover_iman(groups, h, adjust)
+                got = conover_iman(groups, h=h, adjust=adjust)
+                assert got.tobytes() == want.tobytes(), (groups, adjust)
+            rank_means = [r.mean() for r in np.split(
+                midranks(pooled), np.cumsum([len(g) for g in groups])[:-1])]
+            zero_diff_cases += len(set(rank_means)) < len(rank_means)
+        assert zero_diff_cases >= 5, zero_diff_cases
+
+    def test_unknown_adjustment_rejected_before_the_gate(self):
+        groups = [[1.0, 5.0, 3.0], [2.0, 4.0, 6.0]]
+        assert kruskal_wallis(groups)[1] >= 0.05
+        with pytest.raises(ValueError, match="unknown adjustment"):
+            conover_iman(groups, adjust="bonferroni")
+
     def test_holm_adjustment_is_monotone_and_larger(self):
         rng = np.random.default_rng(11)
         groups = [rng.normal(loc=i, size=7) for i in range(4)]
@@ -400,13 +493,13 @@ class TestPlanner:
         with pytest.raises(UnreachableThresholdError):
             required_trials(0.0, 0.95)
 
-    def test_plan_retries_composition(self):
+    def test_success_prob_sizes_the_retry_count(self):
         from types import SimpleNamespace
         recs = [SimpleNamespace(recon_rmse=v, diverged=False)
                 for v in np.linspace(0.0, 1.0, 100)]
-        plan = plan_retries(recs, "recon_rmse", threshold=0.5, p_req=0.95)
-        assert plan.p_hat == pytest.approx(0.5)
-        assert plan.n_req == 5
+        p_hat = estimate_success_prob(recs, "recon_rmse", threshold=0.5)
+        assert p_hat == pytest.approx(0.5)
+        assert required_trials(p_hat, 0.95) == 5
 
 
 class TestPipeline:
