@@ -231,24 +231,39 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        d = json.loads(line)
+        return cls._from_mapping(json.loads(line))
+
+    @classmethod
+    def _from_mapping(cls, d) -> "RunRecord":
+        """The record of one decoded line, built without the frozen
+        __init__, whose one object.__setattr__ per field costs more than
+        the decode. The values and their types are the ones the
+        constructor got: int ids and seeds, a tuple permutation, a bool
+        diverged flag, no wall time, and None for a missing optional key.
+        Fields are stored one key at a time, in field order: that keeps the
+        instance dict in the class's shared-key layout, where a bulk
+        update would give each record a full dict of its own."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a record must be a JSON object, not {type(d).__name__}")
         perm = d.get("permutation")
-        return cls(
-            experiment_id=d["experiment_id"],
-            init_id=int(d["init_id"]),
-            run_id=int(d["run_id"]),
-            init_seed=int(d["init_seed"]),
-            run_seed=int(d["run_seed"]),
-            init_checksum=d["init_checksum"],
-            final_loss=d.get("final_loss"),
-            recon_rmse=d.get("recon_rmse"),
-            recon_sad=d.get("recon_sad"),
-            abundance_rmse=d.get("abundance_rmse"),
-            endmember_sad=d.get("endmember_sad"),
-            permutation=tuple(perm) if perm is not None else None,
-            diverged=bool(d.get("diverged", False)),
-            trace_file=d.get("trace_file"),
-        )
+        record = object.__new__(cls)
+        fields = record.__dict__
+        fields["experiment_id"] = d["experiment_id"]
+        fields["init_id"] = int(d["init_id"])
+        fields["run_id"] = int(d["run_id"])
+        fields["init_seed"] = int(d["init_seed"])
+        fields["run_seed"] = int(d["run_seed"])
+        fields["init_checksum"] = d["init_checksum"]
+        fields["final_loss"] = d.get("final_loss")
+        fields["recon_rmse"] = d.get("recon_rmse")
+        fields["recon_sad"] = d.get("recon_sad")
+        fields["abundance_rmse"] = d.get("abundance_rmse")
+        fields["endmember_sad"] = d.get("endmember_sad")
+        fields["permutation"] = tuple(perm) if perm is not None else None
+        fields["diverged"] = bool(d.get("diverged", False))
+        fields["wall_time"] = 0.0
+        fields["trace_file"] = d.get("trace_file")
+        return record
 
 
 class GradientTrace:
@@ -596,13 +611,39 @@ def write_records(
 
 
 def read_records(path) -> tuple[list[RunRecord], dict]:
-    """Read a record file; returns (records, metadata)."""
+    """Read a record file; returns (records, metadata).
+
+    The file is read line by line (LF, CRLF or CR newlines), so it is
+    never held whole beside its records. Blank lines are skipped. A line
+    that is not JSON, not an object, or lacks a required key raises
+    ValueError naming the path and its 1-based line number. The metadata
+    line must hold a record_format key, but neither it nor count is
+    compared with what was read: a cut file reads without error, and the
+    CLI makes those checks.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    meta = json.loads(lines[0])
-    if "record_format" not in meta:
-        raise ValueError(f"{path} does not start with a metadata line")
-    records = [RunRecord.from_json(line) for line in lines[1:]]
+        numbered = (
+            (number, line)
+            for number, line in enumerate(fh, 1)
+            if line.strip()
+        )
+        first = next(numbered, None)
+        if first is None:
+            raise ValueError(f"{path} is empty")
+        number, line = first
+        try:
+            meta = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from exc
+        if not isinstance(meta, dict) or "record_format" not in meta:
+            raise ValueError(f"{path} does not start with a metadata line")
+        records = []
+        build = RunRecord._from_mapping
+        for number, line in numbered:
+            try:
+                records.append(build(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {number}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from exc
     return records, meta

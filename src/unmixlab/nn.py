@@ -755,12 +755,18 @@ def forward(
             raise ValueError("a workspace serves train-mode forwards only")
         bufs = workspace.claim(x)
     rng = _LazyRng(seed)
+    # only backward reads the entries, and it refuses an eval cache: an eval
+    # forward drops each entry at the next layer, and with it the activation
+    # it held, so a full-scene forward holds only what the running layer
+    # reads and writes
+    keep_entries = mode == TRAIN
     entries = []
     abundances = None
     for i, layer in enumerate(net.encoder):
         entry: dict = {} if i else {"skip_dx": True}
         x = layer.forward(x, mode, rng, entry, bufs[i])
-        entries.append(entry)
+        if keep_entries:
+            entries.append(entry)
         if i == net.sum_to_one_index:
             abundances = x
     latent = x

@@ -594,23 +594,24 @@ def write_stat_report(report: StatReport, out_dir) -> list[Path]:
     written.append(report_path)
 
     if report.posthoc is not None:
+        # each p-value is formatted once, for both files
+        cells = [[repr(p) for p in row] for row in report.posthoc.tolist()]
+        significant = report.posthoc < report.alpha
+        np.fill_diagonal(significant, False)
         mat_path = out / "posthoc_matrix.csv"
         with open(mat_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in report.posthoc:
-                writer.writerow([repr(float(p)) for p in row])
+            csv.writer(fh).writerows(cells)
         written.append(mat_path)
 
         long_path = out / "posthoc_long.csv"
+        ids = range(1, len(cells) + 1)
         with open(long_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j", "p", "significant"])
-            n = report.posthoc.shape[0]
-            for i in range(n):
-                for j in range(n):
-                    p = float(report.posthoc[i, j])
-                    writer.writerow(
-                        [i + 1, j + 1, repr(p), str(i != j and p < report.alpha)]
-                    )
+            writer.writerows(
+                (i, j, p, str(sig))
+                for i, row, sig_row in zip(ids, cells, significant.tolist())
+                for j, p, sig in zip(ids, row, sig_row)
+            )
         written.append(long_path)
     return written

@@ -2,12 +2,16 @@
 
 Each function is the straightforward one-element-at-a-time form: the Lentz
 continued fraction run per call, the Kruskal-Wallis statistic re-ranked on
-every resample, and the Conover-Iman matrix filled pair by pair with a
-step-down Holm loop. The tests require the library to reproduce these bit
-for bit, so they use no code of unmixlab.stats beyond midranks.
+every resample, the Conover-Iman matrix filled pair by pair with a
+step-down Holm loop, and the post-hoc CSV files written one cell per
+writerow. The tests require the library to reproduce these bit for bit
+(byte for byte, for the files), so they use no code of unmixlab.stats
+beyond midranks.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -163,3 +167,21 @@ def conover_iman(groups, h, adjust="none"):
         pmat[iu] = adj
         pmat[(iu[1], iu[0])] = adj
     return pmat
+
+
+def write_posthoc_files(report, out_dir):
+    """posthoc_matrix.csv and posthoc_long.csv of a report that ran the
+    post-hoc stage, each p-value formatted per cell and per file."""
+    out = Path(out_dir)
+    with open(out / "posthoc_matrix.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in report.posthoc:
+            writer.writerow([repr(float(p)) for p in row])
+    with open(out / "posthoc_long.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "p", "significant"])
+        n = report.posthoc.shape[0]
+        for i in range(n):
+            for j in range(n):
+                p = float(report.posthoc[i, j])
+                writer.writerow([i + 1, j + 1, repr(p), str(i != j and p < report.alpha)])

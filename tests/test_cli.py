@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from unmixlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from unmixlab.harness import ExperimentConfig, RunRecord, write_records
+from unmixlab.harness import ExperimentConfig, RunRecord, read_records, write_records
 from unmixlab.lmm import load_bundle
+from unmixlab.stats import estimate_success_prob
 
 
 @pytest.fixture()
@@ -205,6 +206,54 @@ class TestAnalyze:
                    "--out", str(tmp_path / "s")])
         assert rc == EXIT_DATA
 
+    def test_unreadable_records_is_data_error(self, tmp_path, capsys):
+        rc = main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "s")])
+        assert rc == EXIT_DATA
+        assert '"kind": "data"' in capsys.readouterr().err
+
+    @staticmethod
+    def _analyze_error(tmp_path, capsys, edit):
+        """Exit code and error line of analyze on a fixture whose lines
+        `edit` rewrites."""
+        path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        rc = main(["analyze", "--records", str(path), "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert err.startswith("error ")
+        return rc, json.loads(err[len("error "):])
+
+    @staticmethod
+    def _with_meta(lines, **changes):
+        meta = json.loads(lines[0])
+        meta.update(changes)
+        return [json.dumps(meta)] + lines[1:]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:-1], "holds 8 records but its metadata line says count 9"),
+        (lambda lines: lines + lines[-1:], "holds 10 records"),
+        (lambda lines: TestAnalyze._with_meta(lines, count=10), "says count 10"),
+        (lambda lines: TestAnalyze._with_meta(lines, count=None), "says count None"),
+        (lambda lines: TestAnalyze._with_meta(lines, record_format=2), "record_format 2"),
+    ], ids=["cut", "appended", "count-edited", "count-missing", "format"])
+    def test_record_file_disagreeing_with_its_metadata_is_data_error(
+            self, tmp_path, capsys, edit, message):
+        rc, err = self._analyze_error(tmp_path, capsys, edit)
+        assert rc == EXIT_DATA and err["kind"] == "data"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"init_id":1}', "line 3: missing key 'experiment_id'"),
+        ("[1,2]", "line 3: a record must be a JSON object, not list"),
+        ("{not json", "line 3: Expecting property name"),
+    ], ids=["missing-key", "array", "not-json"])
+    def test_bad_record_line_is_data_error_naming_the_line(
+            self, tmp_path, capsys, bad, message):
+        rc, err = self._analyze_error(
+            tmp_path, capsys, lambda lines: lines[:2] + [bad] + lines[3:])
+        assert rc == EXIT_DATA and err["kind"] == "data"
+        assert message in err["message"]
+
 
 class TestPlan:
     def test_direct_p_hat(self, capsys):
@@ -272,6 +321,25 @@ class TestReport:
         assert first[3] == "False" and first[2] == ""
         second = rows[1].split(",")
         assert second[3] == "True"
+
+    def test_trials_rows_are_the_success_estimate(self, tmp_path):
+        values = [[0.25, 0.5, None], [0.75, 0.25, 1.0]]
+        path = fixture_records(tmp_path / "r.jsonl", values)
+        lines = path.read_text().splitlines()
+        # the third run of init 1 diverged: it counts as a failure
+        lines[3] = lines[3].replace('"diverged":false', '"diverged":true')
+        path.write_text("\n".join(lines) + "\n")
+        records, _ = read_records(path)
+        thresholds = ["0.25", "0.5000001", "1.0", "1.5", "inf", "nan", "-1"]
+        out = tmp_path / "report"
+        assert main(["report", "--records", str(path), "--out", str(out),
+                     "--thresholds", *thresholds]) == EXIT_OK
+        rows = [r.split(",") for r in (out / "trials.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == [repr(float(t)) for t in thresholds]
+        for row, t in zip(rows, thresholds):
+            p_hat = estimate_success_prob(records, "recon_rmse", float(t))
+            assert row[1] == repr(p_hat)
+            assert row[3] == str(p_hat > 0)
 
     def test_default_thresholds_follow_loss(self, tmp_path):
         records = fixture_records(

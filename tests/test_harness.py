@@ -1,8 +1,11 @@
 """Seeding contracts, grid determinism, divergence containment, persistence."""
 
+import copy
 import json
 import math
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -320,6 +323,174 @@ class TestRecordPersistence:
         path.write_text('{"init_id": 1}\n')
         with pytest.raises(ValueError):
             read_records(path)
+
+
+def _constructed(line: str) -> RunRecord:
+    """A record line decoded by json.loads and built by the dataclass
+    constructor, with the coercions the reader promises."""
+    return _constructed_from(json.loads(line))
+
+
+def _constructed_from(d: dict) -> RunRecord:
+    perm = d.get("permutation")
+    return RunRecord(
+        experiment_id=d["experiment_id"],
+        init_id=int(d["init_id"]),
+        run_id=int(d["run_id"]),
+        init_seed=int(d["init_seed"]),
+        run_seed=int(d["run_seed"]),
+        init_checksum=d["init_checksum"],
+        final_loss=d.get("final_loss"),
+        recon_rmse=d.get("recon_rmse"),
+        recon_sad=d.get("recon_sad"),
+        abundance_rmse=d.get("abundance_rmse"),
+        endmember_sad=d.get("endmember_sad"),
+        permutation=tuple(perm) if perm is not None else None,
+        diverged=bool(d.get("diverged", False)),
+        trace_file=d.get("trace_file"),
+    )
+
+
+REQUIRED = ('"experiment_id":"e","init_id":1,"run_id":2,"init_seed":3,'
+            '"run_seed":4,"init_checksum":"c"')
+RECORD_LINES = [
+    # a scored run as write_records writes it
+    RunRecord("e", 1, 1, 11, 12, "ab", 0.5, 0.25, 0.125, 0.1, 0.2, (2, 0, 1),
+              False, trace_file="trace_1_1.csv").to_json(),
+    # a diverged run: no scores, no permutation
+    RunRecord("e", 1, 2, 11, 13, "ab", None, None, None, None, None, None,
+              True).to_json(),
+    # required keys only
+    "{" + REQUIRED + "}",
+    # int scores stay int, float ids become int, 0/1 flags become bool
+    '{"experiment_id":"e","init_id":2.0,"run_id":1,"init_seed":5,'
+    '"run_seed":6,"init_checksum":"d","recon_rmse":1,"final_loss":2,'
+    '"permutation":[],"diverged":1}',
+    '{' + REQUIRED + ',"diverged":0,"permutation":null,"trace_file":null}',
+    # keys this version does not know are ignored
+    '{' + REQUIRED + ',"extra":[1,2],"recon_sad":1e-300}',
+]
+
+
+class TestRecordReader:
+    """read_records and from_json build records without the dataclass
+    constructor; they must yield the records it yields."""
+
+    @staticmethod
+    def _file(tmp_path, body_lines, meta='{"count":1,"record_format":1}'):
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join([meta] + body_lines) + "\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _assert_same(fast, slow):
+        assert fast == slow and hash(fast) == hash(slow)
+        assert list(vars(fast).items()) == list(vars(slow).items())
+        assert [type(v) for v in vars(fast).values()] == \
+            [type(v) for v in vars(slow).values()]
+        assert type(fast.diverged) is bool and type(fast.init_id) is int
+        assert fast.wall_time == 0.0 and type(fast.wall_time) is float
+
+    def test_read_records_equals_the_constructor(self, tmp_path):
+        records, _ = read_records(self._file(tmp_path, RECORD_LINES))
+        assert len(records) == len(RECORD_LINES)
+        for fast, line in zip(records, RECORD_LINES):
+            self._assert_same(fast, _constructed(line))
+        assert records[2].permutation is None and records[2].trace_file is None
+        assert records[3].recon_rmse == 1 and type(records[3].recon_rmse) is int
+        assert records[3].permutation == () and records[3].diverged is True
+
+    @pytest.mark.parametrize("index", range(len(RECORD_LINES)))
+    def test_from_json_equals_the_constructor(self, index):
+        line = RECORD_LINES[index]
+        self._assert_same(RunRecord.from_json(line), _constructed(line))
+
+    def test_fast_records_stay_frozen_dataclasses(self, tmp_path):
+        (fast,), _ = read_records(self._file(tmp_path, RECORD_LINES[:1]))
+        slow = _constructed(RECORD_LINES[0])
+        with pytest.raises(FrozenInstanceError):
+            fast.recon_rmse = 1.0
+        with pytest.raises(FrozenInstanceError):
+            del fast.run_id
+        assert replace(fast, run_id=9) == replace(slow, run_id=9)
+        assert pickle.loads(pickle.dumps(fast)) == slow
+        assert copy.deepcopy(fast) == slow and repr(fast) == repr(slow)
+        assert len({fast, slow}) == 1
+        assert fast.to_json() == RECORD_LINES[0]
+
+    def test_fast_records_keep_the_compact_instance_dict(self):
+        """Per-key stores keep each record's dict in the class's shared-key
+        layout (about 1.6x the bytes of a constructed record, which has no
+        dict object); one bulk update gives every record a full dict of its
+        own, about 2.7x."""
+        mappings = [json.loads(line) for line in RECORD_LINES[:1] * 2000]
+
+        def held(build):
+            tracemalloc.start()
+            try:
+                records = [build(d) for d in mappings]
+                return tracemalloc.get_traced_memory()[0] / len(records)
+            finally:
+                tracemalloc.stop()
+
+        fast = held(RunRecord._from_mapping)
+        slow = held(_constructed_from)
+        assert fast <= 2.0 * slow, (fast, slow)
+
+    @pytest.mark.parametrize("line", [
+        " {" + REQUIRED + "}", "{" + REQUIRED + "}\t ", "\t{ " + REQUIRED + " } ",
+    ], ids=["leading", "trailing", "both-and-inside"])
+    def test_whitespace_around_a_line_is_accepted(self, tmp_path, line):
+        (record,), _ = read_records(self._file(tmp_path, [line]))
+        self._assert_same(record, _constructed(line))
+
+    @pytest.mark.parametrize("line, message", [
+        ("{" + REQUIRED + "} x", "Extra data"),
+        ("{" + REQUIRED + "}{}", "Extra data"),
+        ("{" + REQUIRED, "Expecting"),
+        ("\ufeff{" + REQUIRED + "}", "BOM"),
+        ("[1,2]", "JSON object, not list"),
+        ('"text"', "JSON object, not str"),
+        ("null", "JSON object, not NoneType"),
+        ('{"init_id":1}', "missing key 'experiment_id'"),
+        ("{" + REQUIRED.replace('"run_id":2', '"run_id":"x"') + "}", "invalid literal"),
+        ("{" + REQUIRED + ',"permutation":3}', "not iterable"),
+    ], ids=["trailing-text", "two-objects", "cut", "bom", "array", "string", "null",
+            "missing-key", "bad-int", "bad-permutation"])
+    def test_a_bad_line_names_the_path_and_line(self, tmp_path, line, message):
+        good = RECORD_LINES[0]
+        # blank lines are skipped but still counted: the bad line is line 5
+        path = self._file(tmp_path, [good, "", "   ", line, good])
+        with pytest.raises(ValueError, match=message) as info:
+            read_records(path)
+        assert str(info.value).startswith(f"{path}, line 5: ")
+        # json.loads plus the constructor rejected it too, less legibly
+        with pytest.raises((ValueError, KeyError, TypeError, AttributeError)):
+            _constructed(line)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_any_newline_convention_reads_the_same(self, tmp_path, newline):
+        path = tmp_path / "records.jsonl"
+        meta = '{"count":6,"record_format":1}'
+        path.write_bytes(newline.join([meta] + RECORD_LINES).encode())
+        records, _ = read_records(path)
+        for fast, line in zip(records, RECORD_LINES, strict=True):
+            self._assert_same(fast, _constructed(line))
+
+    def test_a_bad_metadata_line_names_the_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('\n{"record_format":1,\n')
+        with pytest.raises(ValueError, match=r"line 2: Expecting"):
+            read_records(path)
+        path.write_text('["record_format"]\n')
+        with pytest.raises(ValueError, match="metadata line"):
+            read_records(path)
+
+    def test_the_library_reader_does_not_check_count(self, tmp_path):
+        """A cut file reads; the CLI, not the library, checks count."""
+        records, meta = read_records(self._file(
+            tmp_path, RECORD_LINES[:2], meta='{"count":5,"record_format":1}'))
+        assert len(records) == 2 and meta["count"] == 5
 
 
 class TestConfig:

@@ -1,6 +1,7 @@
 """Network assembly, initializer statistics, full-model gradients, Adam."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ class TestForwardContracts:
         _, _, cache = nn.forward(net, x, mode=nn.EVAL)
         with pytest.raises(nn.CacheError):
             nn.backward(net, cache, np.zeros((6, 4)))
+
+    def test_eval_forward_holds_no_spent_activation(self):
+        """An eval forward keeps no cache entries, so each hidden activation
+        is freed once the next layer has read it: the traced peak stays near
+        the reconstruction's one scene, not the whole stack of activations
+        (1.6x the scene when every entry was kept)."""
+        net = nn.build_network("basic", 64, 3, n1=10)
+        nn.initialize_network(net, "khu", seed=36)
+        x = np.random.default_rng(37).uniform(0.0, 1.0, (64, 20000))
+        tracemalloc.start()
+        try:
+            recon, _, cache = nn.forward(net, x, mode=nn.EVAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * x.nbytes, peak / x.nbytes
+        assert recon.shape == x.shape and cache.entries == []
 
     def test_foreign_cache_rejected(self):
         net1 = nn.build_network("basic", 6, 2, n1=3)

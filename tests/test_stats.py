@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -569,6 +570,41 @@ class TestPipeline:
         files = write_stat_report(report, tmp_path)
         assert {f.name for f in files} == {"stat_report.txt"}
         assert "not run" in (tmp_path / "stat_report.txt").read_text()
+
+    @staticmethod
+    def _edge_posthoc(alpha):
+        """A 7x7 p-value matrix with a zero diagonal and cells at, just
+        below and just above alpha, 0, 1, the smallest subnormal, -0.0 and
+        NaN, none of which the writers may format or compare differently."""
+        rng = np.random.default_rng(17)
+        p = rng.uniform(0.0, 1.0, (7, 7))
+        edges = [alpha, np.nextafter(alpha, 0.0), np.nextafter(alpha, 1.0), 0.0,
+                 1.0, 5e-324, -0.0, math.nan, 1.0 / 3.0]
+        flat = rng.choice(49, len(edges), replace=False)
+        p.flat[flat] = edges
+        np.fill_diagonal(p, 0.0)
+        return p
+
+    @pytest.mark.parametrize("case", ["50x50-seed901", "50x50-seed911", "edges-0.05",
+                                      "edges-0.5", "2x2"])
+    def test_posthoc_files_are_the_per_cell_loop_byte_for_byte(self, tmp_path, case):
+        if case.startswith("50x50"):
+            report = analyze_grouped(stats_50x50_groups(int(case[-3:])))
+            assert report.posthoc is not None
+        elif case.startswith("edges"):
+            alpha = float(case.split("-")[1])
+            base = analyze_grouped([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+            report = replace(base, alpha=alpha, posthoc=self._edge_posthoc(alpha))
+        else:
+            report = analyze_grouped([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]],
+                                     alpha=0.1)
+            assert report.posthoc.shape == (2, 2)
+        lib, ref = tmp_path / "lib", tmp_path / "ref"
+        ref.mkdir()
+        write_stat_report(report, lib)
+        oracles.write_posthoc_files(report, ref)
+        for name in ("posthoc_matrix.csv", "posthoc_long.csv"):
+            assert (lib / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 class TestGroupedScores:
