@@ -36,7 +36,6 @@ from .metrics import (
 from .nn import (
     AdamState,
     Network,
-    adam_step,
     backward,
     build_network,
     forward,

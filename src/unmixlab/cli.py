@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -332,7 +333,11 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parse_args keeps every parsed value in the namespace it returns, never
+    in the parser, so one call's arguments do not reach the next."""
     parser = argparse.ArgumentParser(
         prog="unmixlab",
         description="Unmixing autoencoders with a training-stability bench",

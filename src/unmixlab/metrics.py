@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.typing as npt
 
+from .stats import metric_values
+
 NDArrayF = npt.NDArray[np.float64]
 
 COS_CLAMP = 1.0 - 1e-7
@@ -181,17 +183,6 @@ def rmse_abundances(
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def per_endmember_rmse(
-    a_ref: np.ndarray, a_hat: np.ndarray, perm: Sequence[int]
-) -> NDArrayF:
-    """Per-row RMSE after permutation, for diagnostics."""
-    a_ref = np.asarray(a_ref, dtype=np.float64)
-    a_hat = np.asarray(a_hat, dtype=np.float64)
-    perm = _check_permutation(perm, a_ref.shape[0])
-    diff = a_ref - a_hat[list(perm), :]
-    return np.sqrt(np.mean(diff * diff, axis=1))
-
-
 def sad_endmembers(
     w_ref: np.ndarray, w_hat: np.ndarray, perm: Sequence[int]
 ) -> float:
@@ -251,31 +242,27 @@ def aggregate_errors(records: Iterable) -> ErrorSummary:
     """Mean and sample std of abundance/endmember errors over run records.
 
     Accepts any objects exposing abundance_rmse and endmember_sad attributes.
-    Records flagged as diverged (or with missing errors) are skipped; at
-    least one scored record is required.
+    Both are read through stats.metric_values, and a record counts only
+    where both are finite, so diverged, unscored and NaN-scored runs are
+    skipped as group_scores skips them; at least one scored record is
+    required.
     """
-    ab, em = [], []
-    for rec in records:
-        if getattr(rec, "diverged", False):
-            continue
-        a = getattr(rec, "abundance_rmse")
-        e = getattr(rec, "endmember_sad")
-        if a is None or e is None:
-            continue
-        ab.append(float(a))
-        em.append(float(e))
-    if not ab:
+    records = list(records)
+    ab_arr = metric_values(records, "abundance_rmse")
+    em_arr = metric_values(records, "endmember_sad")
+    scored = np.isfinite(ab_arr) & np.isfinite(em_arr)
+    if not scored.any():
         raise ValueError("no scored records to aggregate")
-    ab_arr = np.asarray(ab)
-    em_arr = np.asarray(em)
-    std_a = float(np.std(ab_arr, ddof=1)) if len(ab) > 1 else 0.0
-    std_e = float(np.std(em_arr, ddof=1)) if len(em) > 1 else 0.0
+    ab_arr, em_arr = ab_arr[scored], em_arr[scored]
+    count = int(scored.sum())
+    std_a = float(np.std(ab_arr, ddof=1)) if count > 1 else 0.0
+    std_e = float(np.std(em_arr, ddof=1)) if count > 1 else 0.0
     return ErrorSummary(
         abundance_mean=float(ab_arr.mean()),
         abundance_std=std_a,
         endmember_mean=float(em_arr.mean()),
         endmember_std=std_e,
-        count=len(ab),
+        count=count,
     )
 
 

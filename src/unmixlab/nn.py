@@ -10,11 +10,13 @@ All math is float64. Every layer implements an explicit backward rule, and
 gradients are validated against central finite differences in the test
 suite.
 
-A layer's forward and backward take a dict of buffers as their last
-argument: an array kept there from an earlier call is reused as the `out=`
-of the operation that made it, and the new result is kept again. Without a
-Workspace the dict is _NO_BUFFERS, which keeps nothing, so every call
-allocates as if no buffers existed.
+A layer's forward(x, mode, rng, slot) keeps in its slot, a plain dict,
+both what backward(dy, slot) reads and every array it wrote as an `out=`.
+An array found in the slot from an earlier call is written over, so a slot
+that a Workspace lends again lets a step allocate no activations, while an
+empty {} allocates. backward returns only the input gradient; it writes
+the parameter gradients into the layer's grads, arrays the layer owns from
+construction and that a Network rebinds as views of its flat_grads.
 """
 
 from __future__ import annotations
@@ -101,19 +103,6 @@ def init_weights(
     return w, bias
 
 
-class _NoBuffers:
-    """The buffer dict of an allocating call: it holds and keeps nothing."""
-
-    def get(self, name):
-        return None
-
-    def __setitem__(self, name, arr):
-        pass
-
-
-_NO_BUFFERS = _NoBuffers()
-
-
 def _where_into(out, mask, x):
     """np.where(mask, x, 0.0), written into out when there is one. Zero
     first, then copy: x * mask would turn a negative or -0.0 entry into
@@ -135,6 +124,21 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+class _Parameterless:
+    """spec, params and out_width of a layer that has no parameters and
+    keeps the width it is given."""
+
+    def spec(self) -> dict:
+        return {"kind": self.kind}
+
+    @property
+    def params(self):
+        return {}
+
+    def out_width(self, width: int) -> int:
+        return width
+
+
 class Linear:
     kind = "linear"
 
@@ -146,7 +150,7 @@ class Linear:
         self.has_bias = bias
         self.weight = np.zeros((out_features, in_features))
         self.bias = np.zeros(out_features) if bias else None
-        self.grad_views: dict[str, NDArrayF] = {}
+        self.grads = {key: np.zeros_like(arr) for key, arr in self.params.items()}
 
     def spec(self) -> dict:
         return {
@@ -170,72 +174,49 @@ class Linear:
             )
         return self.out_features
 
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
-        cache["x"] = x
-        y = bufs["y"] = np.matmul(self.weight, x, out=bufs.get("y"))
+    def forward(self, x, mode, rng, slot):
+        slot["x"] = x
+        y = slot["y"] = np.matmul(self.weight, x, out=slot.get("y"))
         if self.has_bias:
             y += self.bias[:, None]
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        out = self.grad_views
-        grads = {"weight": np.matmul(dy, cache["x"].T, out=out.get("weight"))}
+    def backward(self, dy, slot):
+        np.matmul(dy, slot["x"].T, out=self.grads["weight"])
         if self.has_bias:
-            grads["bias"] = np.sum(dy, axis=1, out=out.get("bias"))
-        if cache.get("skip_dx"):
+            np.sum(dy, axis=1, out=self.grads["bias"])
+        if slot.get("skip_dx"):
             # nothing reads the gradient of the batch itself
-            return None, grads
-        dx = bufs["dx"] = np.matmul(self.weight.T, dy, out=bufs.get("dx"))
-        return dx, grads
+            return None
+        dx = slot["dx"] = np.matmul(self.weight.T, dy, out=slot.get("dx"))
+        return dx
 
 
-class Sigmoid:
+class Sigmoid(_Parameterless):
     kind = "sigmoid"
 
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
-    @property
-    def params(self):
-        return {}
-
-    def out_width(self, width: int) -> int:
-        return width
-
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
-        y = bufs["y"] = _sigmoid(x, out=bufs.get("y"))
-        cache["y"] = y
+    def forward(self, x, mode, rng, slot):
+        y = slot["y"] = _sigmoid(x, out=slot.get("y"))
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        y = cache["y"]
-        dx = bufs["dx"] = np.multiply(dy, y, out=bufs.get("dx"))
+    def backward(self, dy, slot):
+        y = slot["y"]
+        dx = slot["dx"] = np.multiply(dy, y, out=slot.get("dx"))
         dx *= 1.0 - y
-        return dx, {}
+        return dx
 
 
-class ReLU:
+class ReLU(_Parameterless):
     kind = "relu"
 
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
-    @property
-    def params(self):
-        return {}
-
-    def out_width(self, width: int) -> int:
-        return width
-
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
-        mask = bufs["mask"] = np.greater(x, 0, out=bufs.get("mask"))
-        cache["mask"] = mask
-        y = bufs["y"] = _where_into(bufs.get("y"), mask, x)
+    def forward(self, x, mode, rng, slot):
+        mask = slot["mask"] = np.greater(x, 0, out=slot.get("mask"))
+        y = slot["y"] = _where_into(slot.get("y"), mask, x)
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        dx = bufs["dx"] = np.multiply(dy, cache["mask"], out=bufs.get("dx"))
-        return dx, {}
+    def backward(self, dy, slot):
+        dx = slot["dx"] = np.multiply(dy, slot["mask"], out=slot.get("dx"))
+        return dx
 
 
 class BatchNorm:
@@ -256,7 +237,7 @@ class BatchNorm:
         self.beta = np.zeros(features)
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
-        self.grad_views: dict[str, NDArrayF] = {}
+        self.grads = {key: np.zeros_like(arr) for key, arr in self.params.items()}
 
     def spec(self) -> dict:
         return {"kind": self.kind, "features": self.features}
@@ -274,7 +255,7 @@ class BatchNorm:
             raise ValueError(f"batch norm expects width {self.features}, got {width}")
         return width
 
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
+    def forward(self, x, mode, rng, slot):
         if mode == TRAIN:
             m = x.shape[1]
             if m < 2:
@@ -288,32 +269,27 @@ class BatchNorm:
         else:
             mean = self.running_mean
             var = self.running_var
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = bufs["x_hat"] = np.subtract(x, mean[:, None], out=bufs.get("x_hat"))
+        inv = slot["inv"] = 1.0 / np.sqrt(var + BN_EPS)
+        x_hat = slot["x_hat"] = np.subtract(x, mean[:, None], out=slot.get("x_hat"))
         x_hat *= inv[:, None]
-        cache["x_hat"] = x_hat
-        cache["inv"] = inv
-        y = bufs["y"] = np.multiply(self.gamma[:, None], x_hat, out=bufs.get("y"))
+        y = slot["y"] = np.multiply(self.gamma[:, None], x_hat, out=slot.get("y"))
         y += self.beta[:, None]
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        x_hat = cache["x_hat"]
-        inv = cache["inv"]
+    def backward(self, dy, slot):
+        x_hat = slot["x_hat"]
+        inv = slot["inv"]
         m = dy.shape[1]
-        out = self.grad_views
-        grads = {
-            "gamma": np.sum(dy * x_hat, axis=1, out=out.get("gamma")),
-            "beta": np.sum(dy, axis=1, out=out.get("beta")),
-        }
+        np.sum(dy * x_hat, axis=1, out=self.grads["gamma"])
+        np.sum(dy, axis=1, out=self.grads["beta"])
         dxh = dy * self.gamma[:, None]
         inner = (
             m * dxh
             - dxh.sum(axis=1, keepdims=True)
             - x_hat * (dxh * x_hat).sum(axis=1, keepdims=True)
         )
-        dx = bufs["dx"] = np.multiply(inv[:, None] / m, inner, out=bufs.get("dx"))
-        return dx, grads
+        dx = slot["dx"] = np.multiply(inv[:, None] / m, inner, out=slot.get("dx"))
+        return dx
 
 
 class SoftThreshold:
@@ -329,7 +305,7 @@ class SoftThreshold:
             raise ValueError("soft threshold needs at least one feature")
         self.features = features
         self.alpha = np.zeros(features)
-        self.grad_views: dict[str, NDArrayF] = {}
+        self.grads = {key: np.zeros_like(arr) for key, arr in self.params.items()}
 
     def spec(self) -> dict:
         return {"kind": self.kind, "features": self.features}
@@ -345,20 +321,20 @@ class SoftThreshold:
             )
         return width
 
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
-        z = bufs["z"] = np.subtract(x, self.alpha[:, None], out=bufs.get("z"))
-        mask = bufs["mask"] = np.greater(z, 0, out=bufs.get("mask"))
-        cache["mask"] = mask
-        y = bufs["y"] = _where_into(bufs.get("y"), mask, z)
+    def forward(self, x, mode, rng, slot):
+        z = slot["z"] = np.subtract(x, self.alpha[:, None], out=slot.get("z"))
+        mask = slot["mask"] = np.greater(z, 0, out=slot.get("mask"))
+        y = slot["y"] = _where_into(slot.get("y"), mask, z)
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        dz = bufs["dx"] = np.multiply(dy, cache["mask"], out=bufs.get("dx"))
-        alpha = np.sum(dz, axis=1, out=self.grad_views.get("alpha"))
-        return dz, {"alpha": np.negative(alpha, out=alpha)}
+    def backward(self, dy, slot):
+        dz = slot["dx"] = np.multiply(dy, slot["mask"], out=slot.get("dx"))
+        alpha = np.sum(dz, axis=1, out=self.grads["alpha"])
+        np.negative(alpha, out=alpha)
+        return dz
 
 
-class SumToOne:
+class SumToOne(_Parameterless):
     """Divide each column by its sum, guarded so every output is a simplex point.
 
     Intended for nonnegative inputs (post ReLU / soft threshold). Columns
@@ -371,42 +347,28 @@ class SumToOne:
 
     kind = "sum_to_one"
 
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
-    @property
-    def params(self):
-        return {}
-
-    def out_width(self, width: int) -> int:
-        return width
-
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
+    def forward(self, x, mode, rng, slot):
         s_raw = x.sum(axis=0, keepdims=True)
-        dead = s_raw == 0.0
-        s = s_raw + SUM_TO_ONE_GUARD
-        y = bufs["y"] = np.divide(x, s, out=bufs.get("y"))
+        dead = slot["dead"] = (s_raw == 0.0)
+        s = slot["s"] = s_raw + SUM_TO_ONE_GUARD
+        y = slot["y"] = np.divide(x, s, out=slot.get("y"))
         if dead.any():
             np.copyto(y, 1.0 / x.shape[0], where=dead)
-        cache["y"] = y
-        cache["s"] = s
-        cache["dead"] = dead
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        y = cache["y"]
-        s = cache["s"]
-        dx = bufs["dx"] = np.subtract(
-            dy, (dy * y).sum(axis=0, keepdims=True), out=bufs.get("dx")
+    def backward(self, dy, slot):
+        y = slot["y"]
+        dx = slot["dx"] = np.subtract(
+            dy, (dy * y).sum(axis=0, keepdims=True), out=slot.get("dx")
         )
-        dx /= s
-        dead = cache["dead"]
+        dx /= slot["s"]
+        dead = slot["dead"]
         if dead.any():
             np.copyto(dx, 0.0, where=dead)
-        return dx, {}
+        return dx
 
 
-class GaussianDropout:
+class GaussianDropout(_Parameterless):
     """Multiplicative unit-mean Gaussian noise, active in train mode only.
 
     rate r in [0, 1) maps to noise variance r / (1 - r); r = 0 is the
@@ -423,32 +385,24 @@ class GaussianDropout:
     def spec(self) -> dict:
         return {"kind": self.kind, "rate": self.rate}
 
-    @property
-    def params(self):
-        return {}
-
-    def out_width(self, width: int) -> int:
-        return width
-
-    def forward(self, x, mode, rng, cache, bufs=_NO_BUFFERS):
+    def forward(self, x, mode, rng, slot):
         if mode != TRAIN or self.rate == 0.0:
-            cache["noise"] = None
+            slot["noise"] = None
             return x
         sigma = np.sqrt(self.rate / (1.0 - self.rate))
-        # 1.0 + sigma * z, with the draw made into the kept buffer
-        noise = bufs["noise"] = rng.standard_normal(x.shape, out=bufs.get("noise"))
+        # 1.0 + sigma * z, with the draw made into the slot's array
+        noise = slot["noise"] = rng.standard_normal(x.shape, out=slot.get("noise"))
         noise *= sigma
         noise += 1.0
-        cache["noise"] = noise
-        y = bufs["y"] = np.multiply(x, noise, out=bufs.get("y"))
+        y = slot["y"] = np.multiply(x, noise, out=slot.get("y"))
         return y
 
-    def backward(self, dy, cache, bufs=_NO_BUFFERS):
-        noise = cache["noise"]
+    def backward(self, dy, slot):
+        noise = slot["noise"]
         if noise is None:
-            return dy, {}
-        dx = bufs["dx"] = np.multiply(dy, noise, out=bufs.get("dx"))
-        return dx, {}
+            return dy
+        dx = slot["dx"] = np.multiply(dy, noise, out=slot.get("dx"))
+        return dx
 
 
 _LAYER_CLASSES = {
@@ -477,9 +431,10 @@ class Network:
     The network owns all trainable values in one contiguous float64 vector,
     flat_params, laid out in named_parameters() order; every layer's
     weight, bias, gamma, beta and alpha is a view into it. flat_grads has
-    the same layout and receives the gradients that backward writes, so a
-    whole Adam step is a handful of vector operations. param_slices maps
-    each parameter name to its slice of both vectors.
+    the same layout, and every layer's grads are views into it, so the
+    gradients that backward writes make a whole Adam step a handful of
+    vector operations. param_slices maps each parameter name to its slice
+    of both vectors, and named_grads maps it to its gradient view.
     """
 
     def __init__(self, encoder, decoder: Linear, input_dim: int, latent_dim: int,
@@ -517,8 +472,8 @@ class Network:
         ]
 
     def _bind_arena(self) -> None:
-        """Move every parameter into flat_params and point the layers at
-        views of it and of flat_grads."""
+        """Move every parameter into flat_params and point the layers'
+        parameters and grads at views of it and of flat_grads."""
         entries = [
             (f"{prefix}.{key}", layer, key, arr)
             for prefix, layer in self._owners()
@@ -528,13 +483,15 @@ class Network:
         self.flat_params = np.empty(size)
         self.flat_grads = np.zeros(size)
         self.param_slices: dict[str, slice] = {}
+        self.named_grads: dict[str, NDArrayF] = {}
         start = 0
         for name, layer, key, arr in entries:
             sl = slice(start, start + arr.size)
             param = self.flat_params[sl].reshape(arr.shape)
             param[...] = arr
             setattr(layer, key, param)
-            layer.grad_views[key] = self.flat_grads[sl].reshape(arr.shape)
+            grad = layer.grads[key] = self.flat_grads[sl].reshape(arr.shape)
+            self.named_grads[name] = grad
             self.param_slices[name] = sl
             start = sl.stop
 
@@ -560,14 +517,6 @@ class Network:
             for key, arr in getattr(layer, "buffers", {}).items():
                 out[f"enc{i}.{key}"] = arr
         return out
-
-    def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        current = self.named_parameters()
-        if set(values) != set(current):
-            raise ValueError("parameter name set does not match the network")
-        for name, arr in values.items():
-            np.copyto(current[name], arr)
-        self._version += 1
 
     def parameter_checksum(self) -> str:
         params = self.named_parameters()
@@ -671,16 +620,17 @@ class _LazyRng:
 
 
 class Workspace:
-    """Train-mode buffers that a training loop keeps for one network.
+    """Train-mode slots that a training loop keeps for one network.
 
-    A forward through a workspace writes every layer's output, mask and
-    input gradient into the arrays of the last forward with the same batch
-    shape and layout, so a steady loop allocates no new activations. Each
-    distinct batch shape gets its own set (an epoch's short last batch does
-    not evict the full-width one).
+    A forward through a workspace gets the slots of the last forward with
+    the same batch shape and layout, so every layer writes its output, mask
+    and input gradient into the arrays it wrote the step before, and a
+    steady loop allocates no new activations. Each distinct batch shape
+    gets its own slots (an epoch's short last batch does not evict the
+    full-width ones).
 
     Aliasing: the reconstruction and abundances that forward returns, the
-    contents of its cache and the input gradients that backward passes
+    slots in its cache and the input gradients that backward passes
     between layers are workspace arrays, overwritten by the next forward
     through the same workspace. Each forward bumps `generation`, and
     backward refuses a cache of an older generation with CacheError. Copy
@@ -693,28 +643,32 @@ class Workspace:
         self._sets: dict[tuple, list[dict]] = {}
 
     def claim(self, x: np.ndarray) -> list[dict]:
-        """Start a forward of x: one buffer dict per encoder layer, then
-        the decoder's."""
+        """Start a forward of x: the slots of its shape and layout."""
         key = (x.shape, x.strides)
-        bufs = self._sets.get(key)
-        if bufs is None:
-            bufs = self._sets[key] = [{} for _ in range(len(self.net.encoder) + 1)]
+        slots = self._sets.get(key)
+        if slots is None:
+            slots = self._sets[key] = _new_slots(self.net)
         self.generation += 1
-        return bufs
+        return slots
+
+
+def _new_slots(net: Network) -> list[dict]:
+    """Empty slots for a train forward: one per encoder layer, then the
+    decoder's. The first layer's input is the batch, whose gradient
+    nothing reads."""
+    return [{"skip_dx": True}] + [{} for _ in net.encoder]
 
 
 @dataclass
 class ForwardCache:
-    """Intermediates from one forward call, consumed by backward."""
+    """What backward needs of one forward call: the network state it ran
+    on and the slot each layer filled, in encoder order then the
+    decoder's (none for an eval forward)."""
 
     net: Network
     version: int
     mode: str
-    entries: list
-    decoder_entry: dict
-    abundances: NDArrayF
-    latent: NDArrayF
-    buffers: list
+    slots: list
     workspace: Workspace | None = None
     generation: int = 0
 
@@ -731,7 +685,7 @@ def forward(
 
     Without a workspace every result is a fresh array and the batch is
     checked for non-finite entries. A workspace (train mode only) lends its
-    buffers instead, under the aliasing rule of Workspace, and skips that
+    slots instead, under the aliasing rule of Workspace, and skips that
     scan: its caller feeds pixels that were checked once at the boundary,
     as an HsiBundle's are.
     """
@@ -747,42 +701,31 @@ def forward(
     if workspace is None:
         if not np.isfinite(x).all():
             raise ValueError("non-finite batch input")
-        bufs = [_NO_BUFFERS] * (len(net.encoder) + 1)
+        # only backward reads the slots, and it refuses an eval cache: an
+        # eval forward drops each slot at the next layer, and with it the
+        # activation it held, so a full-scene forward holds only what the
+        # running layer reads and writes
+        slots = _new_slots(net) if mode == TRAIN else None
     else:
         if workspace.net is not net:
             raise ValueError("workspace was made for a different network")
         if mode != TRAIN:
             raise ValueError("a workspace serves train-mode forwards only")
-        bufs = workspace.claim(x)
+        slots = workspace.claim(x)
     rng = _LazyRng(seed)
-    # only backward reads the entries, and it refuses an eval cache: an eval
-    # forward drops each entry at the next layer, and with it the activation
-    # it held, so a full-scene forward holds only what the running layer
-    # reads and writes
-    keep_entries = mode == TRAIN
-    entries = []
     abundances = None
     for i, layer in enumerate(net.encoder):
-        entry: dict = {} if i else {"skip_dx": True}
-        x = layer.forward(x, mode, rng, entry, bufs[i])
-        if keep_entries:
-            entries.append(entry)
+        x = layer.forward(x, mode, rng, {} if slots is None else slots[i])
         if i == net.sum_to_one_index:
             abundances = x
-    latent = x
     if abundances is None:
-        abundances = latent
-    decoder_entry: dict = {}
-    recon = net.decoder.forward(latent, mode, rng, decoder_entry, bufs[-1])
+        abundances = x
+    recon = net.decoder.forward(x, mode, rng, {} if slots is None else slots[-1])
     cache = ForwardCache(
         net=net,
         version=net.version,
         mode=mode,
-        entries=entries,
-        decoder_entry=decoder_entry,
-        abundances=abundances,
-        latent=latent,
-        buffers=bufs,
+        slots=[] if slots is None else slots,
         workspace=workspace,
         generation=0 if workspace is None else workspace.generation,
     )
@@ -797,8 +740,9 @@ def backward(
     loss_grad is dL/d(reconstruction) from the loss function. The cache must
     come from a train-mode forward on this exact network with no parameter
     update in between and, for a workspace forward, no later forward through
-    that workspace. The returned arrays are views into net.flat_grads, so
-    the next backward on the network overwrites them.
+    that workspace. Each layer writes its gradients into its grads, views
+    into net.flat_grads; the return value is net.named_grads, the same dict
+    on every call, whose arrays the next backward on the network overwrites.
     """
     if cache.net is not net:
         raise CacheError("cache was built for a different network")
@@ -808,26 +752,19 @@ def backward(
         raise CacheError("backward needs a train-mode forward cache")
     if cache.workspace is not None and cache.generation != cache.workspace.generation:
         raise CacheError("stale cache: a later forward reused its workspace")
-    dy = np.asarray(loss_grad, dtype=np.float64)
-    grads: dict[str, NDArrayF] = {}
-    bufs = cache.buffers
-    dy, dec_grads = net.decoder.backward(dy, cache.decoder_entry, bufs[-1])
-    for key, g in dec_grads.items():
-        grads[f"dec.{key}"] = g
+    slots = cache.slots
+    dy = net.decoder.backward(np.asarray(loss_grad, dtype=np.float64), slots[-1])
     for i in range(len(net.encoder) - 1, -1, -1):
-        dy, layer_grads = net.encoder[i].backward(dy, cache.entries[i], bufs[i])
-        for key, g in layer_grads.items():
-            grads[f"enc{i}.{key}"] = g
-    return grads
+        dy = net.encoder[i].backward(dy, slots[i])
+    return net.named_grads
 
 
 @dataclass
 class AdamState:
     """Adam hyperparameters, step counter and moments.
 
-    m and v are flat float64 vectors in the layout of the parameters they
-    serve (net.flat_params, or a named dict's iteration order for
-    adam_step), created on the first step.
+    m and v are flat float64 vectors in the layout of net.flat_params,
+    created on the first step.
     """
 
     learning_rate: float = 1e-3
@@ -847,57 +784,13 @@ class AdamState:
             raise ValueError("step counter must be >= 0")
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> dict[str, NDArrayF]:
-    """One bias-corrected Adam update; returns the new parameter values.
-
-    The reference for apply_gradients. The state is advanced in place
-    (moments and step counter); each parameter's moments are the next slice
-    of the flat state.m and state.v in the dict's iteration order. Mismatched
-    names or shapes raise ValueError and non-finite gradients
-    DivergenceError, before any state is touched.
-    """
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient name sets differ")
-    for name, g in grads.items():
-        if np.asarray(g).shape != np.asarray(params[name]).shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
-    if state.m is None:
-        size = sum(np.asarray(p).size for p in params.values())
-        state.m, state.v = np.zeros(size), np.zeros(size)
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    new_params: dict[str, NDArrayF] = {}
-    start = 0
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        sl = slice(start, start + g.size)
-        start = sl.stop
-        m = state.m[sl].reshape(g.shape)
-        v = state.v[sl].reshape(g.shape)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / c1
-        v_hat = v / c2
-        new_params[name] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params
-
-
 def apply_gradients(net: Network, state: AdamState) -> None:
     """Adam-update the network parameters in place from net.flat_grads, as
     the last backward left it (invalidates caches).
 
-    The update is adam_step's, element for element, run once over the flat
-    parameter vector. Non-finite gradients raise DivergenceError, naming
+    The update is bias-corrected Adam, run once over the flat parameter
+    vector; tests/nn_oracles.py holds the per-parameter form that it
+    matches bit for bit. Non-finite gradients raise DivergenceError, naming
     the first bad parameter in arena order, before any state is touched.
     """
     g = net.flat_grads
@@ -911,7 +804,8 @@ def apply_gradients(net: Network, state: AdamState) -> None:
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    # the operation order of adam_step, so every element rounds the same
+    # the operation order of the per-parameter form, so every element
+    # rounds the same
     m *= b1
     t = g * (1.0 - b1)
     m += t

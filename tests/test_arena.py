@@ -1,6 +1,6 @@
 """The flat parameter arena and its fast paths against the slow paths they
-replace: adam_step over named dicts, allocating backward rules, and the
-band-major batch gather."""
+replace: Adam over named dicts (the adam_step reference in nn_oracles) and
+the band-major batch gather; and the gradient views that backward fills."""
 
 import copy
 import pickle
@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+import nn_oracles as oracles
 from unmixlab import nn
 from unmixlab.metrics import mse_loss, sad_loss
 
@@ -75,21 +76,28 @@ class TestLayout:
 class TestBackward:
     @pytest.mark.parametrize("arch,kwargs,_", ARCHS)
     def test_named_gradients_match_allocating_backward(self, arch, kwargs, _):
+        # the values are the finite-difference tests' and the golden pins'
         net = _net(arch, kwargs)
-        slow = copy.deepcopy(net)
-        for layer in slow.encoder + [slow.decoder]:
-            if hasattr(layer, "grad_views"):
-                layer.grad_views = {}
         x = _batches(14, 1)[0]
-        fast = _grads(net, x, seed=3)
-        ref = _grads(slow, x, seed=3)
-        assert list(fast) == list(ref)
-        assert set(fast) == set(net.named_parameters())
-        for name, g in fast.items():
+        grads = _grads(net, x, seed=3)
+        assert list(grads) == list(net.named_parameters())
+        for name, g in grads.items():
             assert np.shares_memory(g, net.flat_grads)
-            assert not np.shares_memory(ref[name], slow.flat_grads)
             assert g.shape == net.named_parameters()[name].shape
-            np.testing.assert_array_equal(g, ref[name])
+            np.testing.assert_array_equal(g.ravel(), net.flat_grads[net.param_slices[name]])
+
+    @pytest.mark.parametrize("arch,kwargs,_", ARCHS)
+    def test_every_backward_returns_the_bound_named_grads(self, arch, kwargs, _):
+        net = _net(arch, kwargs)
+        x = _batches(14, 2)
+        first = _grads(net, x[0], seed=1)
+        second = _grads(net, x[1], seed=2)
+        assert first is second is net.named_grads
+        layer_grads = [g for layer in net.encoder + [net.decoder]
+                       for g in getattr(layer, "grads", {}).values()]
+        assert len(layer_grads) == len(first)
+        for g, bound in zip(layer_grads, first.values()):
+            assert g is bound and np.shares_memory(g, net.flat_grads)
 
 
 class TestAdam:
@@ -105,7 +113,9 @@ class TestAdam:
             for name in grads_fast:
                 np.testing.assert_array_equal(grads_fast[name], grads_slow[name])
             nn.apply_gradients(fast, state_fast)
-            slow.set_parameters(nn.adam_step(slow.named_parameters(), grads_slow, state_slow))
+            params = slow.named_parameters()
+            for name, new in oracles.adam_step(params, grads_slow, state_slow).items():
+                np.copyto(params[name], new)
             np.testing.assert_array_equal(fast.flat_params, slow.flat_params)
             np.testing.assert_array_equal(state_fast.m, state_slow.m)
             np.testing.assert_array_equal(state_fast.v, state_slow.v)
@@ -131,16 +141,17 @@ class TestAdam:
         np.testing.assert_array_equal(state.v, v)
 
     def test_mismatched_names_and_shapes_rejected(self):
-        # the checks live on adam_step, the reference that the arena update matches
+        # the checks live on oracles.adam_step, the reference that the arena
+        # update matches
         net = _net("basic", {"n1": 4})
         params = net.named_parameters()
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         state = nn.AdamState()
         with pytest.raises(ValueError, match="name sets"):
-            nn.adam_step(params, {k: grads[k] for k in list(grads)[1:]}, state)
+            oracles.adam_step(params, {k: grads[k] for k in list(grads)[1:]}, state)
         grads["dec.weight"] = np.zeros(3)
         with pytest.raises(ValueError, match="shape mismatch"):
-            nn.adam_step(params, grads, state)
+            oracles.adam_step(params, grads, state)
         assert state.t == 0 and state.m is None and state.v is None
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from unmixlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from unmixlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from unmixlab.harness import ExperimentConfig, RunRecord, read_records, write_records
 from unmixlab.lmm import load_bundle
 from unmixlab.stats import estimate_success_prob
@@ -355,6 +355,26 @@ class TestReport:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_shared_parser_carries_no_values_between_calls(self, tmp_path, bundle_dir,
+                                                           config_path):
+        assert build_parser() is build_parser()
+        grid = ["experiment", "--config", str(config_path), "--data", str(bundle_dir)]
+        # N=2 and k=2 in the config: each run's lines show which --set it saw
+        for name, sets, lines in (("a", ["--set", "N=1"], 2), ("b", ["--set", "k=1"], 2),
+                                  ("c", [], 4)):
+            out = tmp_path / name
+            assert main([*grid, "--out", str(out), *sets]) == EXIT_OK
+            assert len((out / "records.jsonl").read_text().splitlines()) == lines + 1
+        records = fixture_records(tmp_path / "r.jsonl", [[0.01, 0.02], [0.03, 0.04]])
+        report = ["report", "--records", str(records)]
+        for name, thresholds in (("r1", ["0.5"]), ("r2", [])):
+            out = tmp_path / name
+            args = ["--thresholds", *thresholds] if thresholds else []
+            assert main([*report, "--out", str(out), *args]) == EXIT_OK
+            rows = (out / "trials.csv").read_text().splitlines()[1:]
+            assert [float(r.split(",")[0]) for r in rows] == (
+                [float(t) for t in thresholds] or [0.01, 0.015, 0.05])
 
     def test_idempotent_reports(self, tmp_path):
         records = fixture_records(

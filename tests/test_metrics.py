@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from unmixlab.harness import RunRecord
 from unmixlab.metrics import (
     ANGLE_BLOCK_COLUMNS,
     DegenerateSpectrumError,
@@ -16,13 +17,13 @@ from unmixlab.metrics import (
     lenient_angles,
     match_endmembers,
     mse_loss,
-    per_endmember_rmse,
     rmse_abundances,
     rmse_overwriting,
     sad_endmembers,
     sad_loss,
     unmixing_errors,
 )
+from unmixlab.stats import group_scores
 
 
 def _bits(a):
@@ -296,12 +297,6 @@ class TestAbundanceRmse:
         permuted = rmse_abundances(a_ref[shuffle, :], a_hat[shuffle, :], (0, 1, 2, 3))
         assert base == pytest.approx(permuted, abs=1e-12)
 
-    def test_per_endmember_diagnostics(self):
-        a_ref = np.array([[1.0, 1.0], [0.0, 0.0]])
-        a_hat = np.array([[0.5, 0.5], [0.5, 0.5]])
-        per = per_endmember_rmse(a_ref, a_hat, (0, 1))
-        np.testing.assert_allclose(per, [0.5, 0.5])
-
 
 class TestSadEndmembers:
     def test_zero_on_identical(self):
@@ -347,6 +342,24 @@ class TestAggregation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_errors([])
+
+    def test_nan_scored_record_is_dropped_as_group_scores_drops_it(self):
+        lines = []
+        for init_id, score in ((1, 0.1), (1, math.nan), (2, 0.3)):
+            lines.append(RunRecord(
+                experiment_id="nan", init_id=init_id, run_id=len(lines) + 1,
+                init_seed=init_id, run_seed=len(lines) + 1, init_checksum="c",
+                final_loss=score, recon_rmse=score, recon_sad=score,
+                abundance_rmse=score, endmember_sad=score, permutation=(0, 1),
+                diverged=False,
+            ).to_json())
+        assert "NaN" in lines[1]
+        records = [RunRecord.from_json(line) for line in lines]
+        summary = aggregate_errors(records)
+        assert summary.count == 2
+        assert summary.abundance_mean == pytest.approx(0.2)
+        assert summary.endmember_mean == pytest.approx(0.2)
+        assert group_scores(records, "abundance_rmse").sizes == (1, 1)
 
     def test_summary_formatting(self):
         assert format_mean_std(0.0712, 0.104) == "0.07±0.1"

@@ -23,7 +23,8 @@ def fd_gradcheck(layer, x, mode="train", seed=0, params=True, atol=1e-8, rtol=1e
 
     y0, cache0 = run(layer, x)
     probe = rng_probe.normal(size=y0.shape)
-    dx, grads = layer.backward(probe, cache0)
+    dx = layer.backward(probe, cache0)
+    grads = getattr(layer, "grads", {})
 
     h = 1e-5
     # input gradient
@@ -72,6 +73,22 @@ class TestLinear:
         np.copyto(layer.weight, rng.normal(size=(2, 5)))
         assert layer.bias is None
         fd_gradcheck(layer, rng.normal(size=(5, 4)))
+
+    def test_backward_writes_into_its_own_grads(self):
+        rng = np.random.default_rng(15)
+        layer = nn.Linear(3, 2)
+        np.copyto(layer.weight, rng.normal(size=(2, 3)))
+        grads = layer.grads
+        owned = dict(grads)
+        x, dy = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        slot = {}
+        layer.forward(x, "train", None, slot)
+        dx = layer.backward(dy, slot)
+        assert layer.grads is grads
+        assert all(grads[key] is owned[key] for key in ("weight", "bias"))
+        np.testing.assert_array_equal(grads["weight"], dy @ x.T)
+        np.testing.assert_array_equal(grads["bias"], dy.sum(axis=1))
+        np.testing.assert_array_equal(dx, layer.weight.T @ dy)
 
 
 class TestSigmoid:
@@ -154,8 +171,8 @@ class TestSoftThreshold:
         layer = nn.SoftThreshold(1)
         cache = {}
         layer.forward(np.array([[1.0]]), "train", None, cache)
-        _, grads = layer.backward(np.array([[1.0]]), cache)
-        assert grads["alpha"][0] == -1.0
+        layer.backward(np.array([[1.0]]), cache)
+        assert layer.grads["alpha"][0] == -1.0
 
     def test_gradcheck_away_from_kink(self):
         rng = np.random.default_rng(8)
@@ -183,7 +200,7 @@ class TestSumToOne:
         np.testing.assert_allclose(y[:, 0], 1.0 / 3.0)
         np.testing.assert_allclose(y[:, 1], [0.75, 0.25, 0.0])
         # dead columns carry no input gradient
-        dx, _ = layer.backward(np.ones_like(x), cache)
+        dx = layer.backward(np.ones_like(x), cache)
         np.testing.assert_array_equal(dx[:, 0], 0.0)
 
     def test_gradcheck(self):
@@ -217,7 +234,7 @@ class TestGaussianDropout:
         x = np.random.default_rng(13).normal(size=(2, 5))
         cache = {}
         y = layer.forward(x, "train", np.random.default_rng(3), cache)
-        dx, _ = layer.backward(np.ones_like(x), cache)
+        dx = layer.backward(np.ones_like(x), cache)
         np.testing.assert_allclose(dx * x, y)
 
     def test_gradcheck_with_fixed_seed(self):

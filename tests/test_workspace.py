@@ -1,7 +1,7 @@
 """The train-mode workspace against the allocating forward and backward it
-replaces: every layer kind and both architectures, bit for bit (signed
-zeros and layouts included), the generation guard on stale caches, and
-copies of a network."""
+replaces: every layer kind, a slot used again against a fresh one, and
+both architectures, bit for bit (signed zeros and layouts included); the
+generation guard on stale caches; and copies of a network."""
 
 import copy
 import pickle
@@ -70,16 +70,17 @@ LAYERS = {
 }
 
 
-def _step(layer, x, dy, bufs, first=False):
-    cache = {"skip_dx": True} if first else {}
+# what layers write as out=, so a slot used again must hand back the same
+# arrays; the rest of a slot (Linear's x, BatchNorm's inv, SumToOne's s and
+# dead) is made anew by every call
+OUT_NAMES = ("y", "dx", "mask", "z", "x_hat", "noise")
+
+
+def _step(layer, x, dy, slot):
     rng = np.random.default_rng(17)
-    if bufs is None:
-        y = layer.forward(x, nn.TRAIN, rng, cache)
-        dx, grads = layer.backward(dy, cache)
-    else:
-        y = layer.forward(x, nn.TRAIN, rng, cache, bufs)
-        dx, grads = layer.backward(dy, cache, bufs)
-    return y, dx, grads
+    y = layer.forward(x, nn.TRAIN, rng, slot)
+    dx = layer.backward(dy, slot)
+    return y, dx, getattr(layer, "grads", {})
 
 
 class TestLayers:
@@ -90,49 +91,50 @@ class TestLayers:
         slow, fast = make(), make()
         x = _signed_input(rows, 9, seed=3, order=order, low=low)
         dy = _signed_input(5, 9, seed=4)
-        bufs: dict = {}
-        # a first step fills the buffers; the second must overwrite all of them
+        slot: dict = {}
+        # a first step fills the slot; the second must overwrite its arrays
         warm = _step(fast, _signed_input(rows, 9, seed=5, order=order, low=low),
-                     _signed_input(5, 9, seed=6), bufs)
-        kept = dict(bufs)
+                     _signed_input(5, 9, seed=6), slot)
+        names = set(slot)
+        kept = {name: slot[name] for name in OUT_NAMES if name in slot}
         if kind == "batch_norm":
             # the warm-up moved the running statistics; start level again
             fast = copy.deepcopy(slow)
-        y_ref, dx_ref, g_ref = _step(slow, x, dy, None)
-        y, dx, g = _step(fast, x, dy, bufs)
+        y_ref, dx_ref, g_ref = _step(slow, x, dy, {})
+        y, dx, g = _step(fast, x, dy, slot)
         assert_same_array(y, y_ref)
         assert_same_array(dx, dx_ref)
         assert list(g) == list(g_ref)
         for name in g:
             assert_same_array(g[name], g_ref[name])
-        assert bufs.keys() == kept.keys()
-        for name, arr in bufs.items():
-            assert arr is kept[name], f"{kind} replaced its {name} buffer"
+        assert set(slot) == names
+        for name, arr in kept.items():
+            assert slot[name] is arr, f"{kind} replaced its {name} array"
         if kind == "gaussian_dropout_zero_rate":
-            assert not bufs and y is x and dx is dy
+            assert slot == {"noise": None} and y is x and dx is dy
         else:
-            assert "y" in bufs and y is bufs["y"] and warm[0] is y
+            assert "y" in kept and y is slot["y"] and warm[0] is y
         if kind in ("relu", "soft_threshold"):
             # the kinked layers give +0.0, never -0.0, where the mask is off
             assert not np.signbit(y[y == 0.0]).any()
 
     def test_first_linear_skips_the_batch_gradient(self):
-        bufs: dict = {}
+        slot: dict = {"skip_dx": True}
         layer = _linear(True)
         x, dy = _signed_input(6, 4, seed=7), _signed_input(5, 4, seed=8)
         for _ in range(2):
-            _, dx, _ = _step(layer, x, dy, bufs, first=True)
+            _, dx, _ = _step(layer, x, dy, slot)
             assert dx is None
-        assert "dx" not in bufs
+        assert "dx" not in slot
 
     def test_sum_to_one_dead_column_in_both_directions(self):
         layer = nn.SumToOne()
         x = np.abs(_signed_input(4, 6, seed=9))
         dy = _signed_input(4, 6, seed=10)
-        y_ref, dx_ref, _ = _step(layer, x, dy, None)
-        bufs: dict = {}
-        _step(layer, x + 1.0, dy, bufs)
-        y, dx, _ = _step(layer, x, dy, bufs)
+        y_ref, dx_ref, _ = _step(layer, x, dy, {})
+        slot: dict = {}
+        _step(layer, x + 1.0, dy, slot)
+        y, dx, _ = _step(layer, x, dy, slot)
         np.testing.assert_array_equal(y[:, 3], 0.25)
         np.testing.assert_array_equal(_bits(dx[:, 3]), _bits(np.zeros(4)))
         assert_same_array(y, y_ref)
@@ -221,12 +223,13 @@ class TestNetwork:
         x = np.random.default_rng(14).uniform(0.05, 1.0, (14, 6))
         recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=1, workspace=workspace)
         nn.backward(net, cache, mse_loss(x, recon)[1])
-        kept = [arr for bufs in cache.buffers for arr in bufs.values()]
+        kept = [arr for slot in cache.slots for arr in slot.values()
+                if isinstance(arr, np.ndarray)]
         assert kept
         twin = clone(net)
         arrays = [twin.flat_params, twin.flat_grads, *twin.named_buffers().values()]
         arrays += [g for layer in twin.encoder + [twin.decoder]
-                   for g in getattr(layer, "grad_views", {}).values()]
+                   for g in getattr(layer, "grads", {}).values()]
         for arr in arrays:
             assert not any(np.shares_memory(arr, buf) for buf in kept)
         before = recon.copy()
