@@ -22,13 +22,11 @@ from .lmm import (
     synthesize,
 )
 from .metrics import (
-    ErrorPair,
     ErrorSummary,
     aggregate_errors,
+    angle_matrix,
     match_endmembers,
     mse_loss,
-    rmse_abundances,
-    sad_endmembers,
     sad_loss,
     spectral_angle,
     unmixing_errors,

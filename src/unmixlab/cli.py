@@ -85,7 +85,8 @@ def _load_bundle(args) -> lmm.HsiBundle:
         raise UsageError("--data is required")
     try:
         return lmm.load_bundle(path)
-    except lmm.FormatError as exc:
+    except ValueError as exc:
+        # FormatError, DimensionError, or values the bundle types reject
         raise DataError(f"cannot load bundle {path}: {exc}")
 
 

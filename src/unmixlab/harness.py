@@ -29,7 +29,6 @@ import numpy as np
 from . import nn
 from .lmm import HsiBundle, min_max_scale
 from .metrics import (
-    MAX_EXHAUSTIVE_ENDMEMBERS,
     DegenerateSpectrumError,
     lenient_angles,
     mse_loss,
@@ -118,25 +117,25 @@ class ExperimentConfig:
         if "encoder" in mapping:
             kwargs["n1"] = _parse_encoder(mapping["encoder"])
         if "batch_size" in mapping:
-            kwargs["batch_size"] = int(mapping["batch_size"])
+            kwargs["batch_size"] = _parse_int("batch_size", mapping["batch_size"])
         if "learning_rate" in mapping:
             kwargs["learning_rate"] = float(mapping["learning_rate"])
         if "gd" in mapping:
             kwargs["gd_rate"] = _parse_optional_float(mapping["gd"], 0.0)
         if "epochs" in mapping and mapping["epochs"] is not None:
-            kwargs["epochs"] = int(mapping["epochs"])
+            kwargs["epochs"] = _parse_int("epochs", mapping["epochs"])
         if "init" in mapping:
             kwargs["init_scheme"] = str(mapping["init"])
         if "N" in mapping:
-            kwargs["n_inits"] = int(mapping["N"])
+            kwargs["n_inits"] = _parse_int("N", mapping["N"])
         if "k" in mapping:
-            kwargs["runs_per_init"] = int(mapping["k"])
+            kwargs["runs_per_init"] = _parse_int("k", mapping["k"])
         if "master_seed" in mapping:
-            kwargs["master_seed"] = int(mapping["master_seed"])
+            kwargs["master_seed"] = _parse_int("master_seed", mapping["master_seed"])
         if "scale" in mapping:
-            kwargs["scale"] = bool(mapping["scale"])
+            kwargs["scale"] = _parse_flag("scale", mapping["scale"])
         if "endmembers" in mapping and mapping["endmembers"] is not None:
-            kwargs["latent_dim"] = int(mapping["endmembers"])
+            kwargs["latent_dim"] = _parse_int("endmembers", mapping["endmembers"])
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
@@ -171,7 +170,23 @@ def _parse_encoder(value) -> int:
         if text.endswith("e"):
             text = text[:-1]
         return int(text)
+    return _parse_int("encoder", value)
+
+
+def _parse_int(key: str, value) -> int:
+    """An integer key's value: an int, an integral float or an integer
+    string; a bool or a fraction is rejected rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
     return int(value)
+
+
+def _parse_flag(key: str, value) -> bool:
+    """A flag's value: a JSON boolean, or 0 or 1. Strings are rejected,
+    because bool("false") is True."""
+    if isinstance(value, (bool, int)) and value in (0, 1):
+        return bool(value)
+    raise ValueError(f"{key} must be true or false, not {value!r}")
 
 
 def _parse_optional_float(value, default: float) -> float:
@@ -180,12 +195,6 @@ def _parse_optional_float(value, default: float) -> float:
     if isinstance(value, str) and value.strip() in ("", "-"):
         return default
     return float(value)
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file with table-style keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_mapping(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -346,17 +355,6 @@ def _mean_std(g: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(np.add.reduce(dev) / g.size))
 
 
-def _check_scorable(data: HsiBundle) -> None:
-    """Reject ground truth that unmixing_errors cannot match, before any
-    training is spent on it."""
-    count = data.endmember_count
-    if count is not None and count > MAX_EXHAUSTIVE_ENDMEMBERS:
-        raise ValueError(
-            f"ground truth has {count} endmembers; scoring matches at most "
-            f"{MAX_EXHAUSTIVE_ENDMEMBERS} by exhaustive search"
-        )
-
-
 def _resolve_latent_dim(config: ExperimentConfig, data: HsiBundle) -> int:
     if data.ground_truth is not None:
         return data.ground_truth.endmember_count
@@ -387,7 +385,6 @@ def train_once(
     gradient trace is kept up to the failure iteration.
     """
     t0 = time.perf_counter()
-    _check_scorable(data)
     bundle = data
     if config.scale:
         bundle, _ = min_max_scale(data)
@@ -471,14 +468,12 @@ def train_once(
         recon_rmse = rmse_overwriting(x, recon)
         if bundle.ground_truth is not None:
             try:
-                pair, permutation = unmixing_errors(
+                abundance_rmse, endmember_sad, permutation = unmixing_errors(
                     bundle.ground_truth.endmembers,
                     bundle.ground_truth.abundances,
                     extract_endmembers(net),
                     abundances,
                 )
-                abundance_rmse = pair.abundance_rmse
-                endmember_sad = pair.endmember_sad
             except DegenerateSpectrumError:
                 # A dead endmember column is a failed solution.
                 diverged = True
@@ -540,42 +535,31 @@ def run_experiment(
     their trace_file reference, and the record file records.jsonl is written.
     Divergence in a cell is contained in that cell's record.
     """
-    _check_scorable(data)
     cells = [
         (i, j)
         for i in range(1, config.n_inits + 1)
         for j in range(1, config.runs_per_init + 1)
     ]
-    results: dict[tuple[int, int], tuple[RunRecord, GradientTrace]] = {}
+    # both paths yield the cells' results in the order of cells
     if jobs <= 1:
         _worker_init(config, data)
-        for cell in cells:
-            record, trace = _worker_cell(cell)
-            results[cell] = (record, trace)
+        results = [_worker_cell(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init, initargs=(config, data)
         ) as pool:
-            for cell, payload in zip(cells, pool.map(_worker_cell, cells)):
-                results[cell] = payload
+            results = list(pool.map(_worker_cell, cells))
 
-    records: list[RunRecord] = []
-    traces: list[GradientTrace] = []
-    for cell in sorted(results):
-        record, trace = results[cell]
-        records.append(record)
-        traces.append(trace)
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        named = []
-        for record, trace in zip(records, traces):
-            fname = f"trace_i{record.init_id:03d}_j{record.run_id:03d}.csv"
-            trace.to_csv(out / fname)
-            named.append(replace(record, trace_file=fname))
-        records = named
-        write_records(out / "records.jsonl", records, config)
+    if out_dir is None:
+        return [record for record, _ in results]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records = []
+    for record, trace in results:
+        fname = f"trace_i{record.init_id:03d}_j{record.run_id:03d}.csv"
+        trace.to_csv(out / fname)
+        records.append(replace(record, trace_file=fname))
+    write_records(out / "records.jsonl", records, config)
     return records
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import numpy.typing as npt
 
-from .metrics import spectral_angle
+from .metrics import angle_matrix
 
 NDArrayF = npt.NDArray[np.float64]
 
@@ -246,12 +246,8 @@ def generate_endmembers(
                 REFLECTANCE_HI - REFLECTANCE_LO
             )
         else:
-            ok = all(
-                spectral_angle(w[:, i], w[:, j]) >= MIN_PAIRWISE_SAD
-                for i in range(n_endmembers)
-                for j in range(i + 1, n_endmembers)
-            )
-            if ok:
+            pairs = np.triu_indices(n_endmembers, 1)
+            if np.all(angle_matrix(w, w)[pairs] >= MIN_PAIRWISE_SAD):
                 return w
     raise SeparationError(
         f"could not separate {n_endmembers} endmembers by "
@@ -368,8 +364,20 @@ def _read_payload(root: Path, entry: dict) -> NDArrayF:
 
 
 def load_bundle(path: str | Path) -> HsiBundle:
-    """Read a bundle written by save_bundle, promoting payloads to float64."""
-    root = Path(path)
+    """Read a bundle written by save_bundle, promoting payloads to float64.
+
+    A header that is not a JSON object, lacks a key the bundle needs or
+    holds a value of the wrong type there raises FormatError naming it.
+    """
+    try:
+        return _load_bundle(Path(path))
+    except KeyError as exc:
+        raise FormatError(f"{HEADER_FILE} under {path} has no {exc} key") from exc
+    except TypeError as exc:
+        raise FormatError(f"{HEADER_FILE} under {path} holds a mistyped entry: {exc}") from exc
+
+
+def _load_bundle(root: Path) -> HsiBundle:
     header_path = root / HEADER_FILE
     if not header_path.exists():
         raise FormatError(f"no {HEADER_FILE} under {root}")
@@ -377,6 +385,8 @@ def load_bundle(path: str | Path) -> HsiBundle:
         header = json.loads(header_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"unparseable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{HEADER_FILE} does not hold a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {header.get('format_version')}")
 

@@ -8,9 +8,9 @@ permutation.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -20,7 +20,6 @@ from .stats import metric_values
 NDArrayF = npt.NDArray[np.float64]
 
 COS_CLAMP = 1.0 - 1e-7
-MAX_EXHAUSTIVE_ENDMEMBERS = 10
 # columns per block of lenient_angles: its temporaries are bands x 1024,
 # not bands x pixels
 ANGLE_BLOCK_COLUMNS = 1024
@@ -134,82 +133,69 @@ def rmse_overwriting(x: np.ndarray, x_hat: np.ndarray) -> float:
 Permutation = tuple[int, ...]
 
 
-def _check_permutation(perm: Sequence[int], n: int) -> Permutation:
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    return perm
-
-
-def match_endmembers(w_hat: np.ndarray, w_ref: np.ndarray) -> Permutation:
-    """Best assignment of estimated endmember columns to reference columns.
-
-    Returns the permutation p minimizing the summed spectral angle between
-    w_hat[:, p[j]] and w_ref[:, j], searched exhaustively over all E!
-    orderings (E <= 10). Ties keep the lexicographically smallest p.
-    """
+def angle_matrix(w_hat: np.ndarray, w_ref: np.ndarray) -> NDArrayF:
+    """E x E cost whose entry (i, j) is the spectral angle between estimate
+    column w_hat[:, i] and reference column w_ref[:, j]."""
     w_hat = np.asarray(w_hat, dtype=np.float64)
     w_ref = np.asarray(w_ref, dtype=np.float64)
     if w_hat.shape != w_ref.shape:
         raise ValueError(f"shape mismatch: {w_hat.shape} vs {w_ref.shape}")
     n = w_hat.shape[1]
-    if n > MAX_EXHAUSTIVE_ENDMEMBERS:
-        raise ValueError(f"exhaustive matching limited to {MAX_EXHAUSTIVE_ENDMEMBERS}")
     cost = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             cost[i, j] = spectral_angle(w_hat[:, i], w_ref[:, j])
-    best: Permutation | None = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[perm[j], j] for j in range(n))
-        if total < best_cost:
-            best_cost = total
-            best = perm
-    assert best is not None
-    return best
+    return cost
 
 
-def rmse_abundances(
-    a_ref: np.ndarray, a_hat: np.ndarray, perm: Sequence[int]
-) -> float:
-    """Root mean squared error over all E*M entries after permuting a_hat rows."""
-    a_ref = np.asarray(a_ref, dtype=np.float64)
-    a_hat = np.asarray(a_hat, dtype=np.float64)
-    if a_ref.shape != a_hat.shape:
-        raise ValueError(f"shape mismatch: {a_ref.shape} vs {a_hat.shape}")
-    perm = _check_permutation(perm, a_ref.shape[0])
-    diff = a_ref - a_hat[list(perm), :]
-    return float(np.sqrt(np.mean(diff * diff)))
+def _least_sum(cols: list[list[float]], rows: list[int], start: float, pos: int) -> float:
+    """Least left-to-right sum start + cols[pos][r0] + cols[pos + 1][r1] + ...
+    over all orderings (r0, r1, ...) of rows, by dynamic programming over
+    the subsets of rows placed first. Rounding is monotone, so the least
+    prefix sum of each subset is the only one that can lead to the least
+    total."""
+    best = [start] * (1 << len(rows))
+    for mask in range(1, len(best)):
+        col = cols[pos + mask.bit_count() - 1]
+        least = math.inf
+        for b, r in enumerate(rows):
+            if mask >> b & 1:
+                total = best[mask ^ (1 << b)] + col[r]
+                if total < least:
+                    least = total
+        best[mask] = least
+    return best[-1]
 
 
-def sad_endmembers(
-    w_ref: np.ndarray, w_hat: np.ndarray, perm: Sequence[int]
-) -> float:
-    """Mean spectral angle between reference columns and permuted estimates."""
-    w_ref = np.asarray(w_ref, dtype=np.float64)
-    w_hat = np.asarray(w_hat, dtype=np.float64)
-    if w_ref.shape != w_hat.shape:
-        raise ValueError(f"shape mismatch: {w_ref.shape} vs {w_hat.shape}")
-    perm = _check_permutation(perm, w_ref.shape[1])
-    angles = [
-        spectral_angle(w_hat[:, perm[j]], w_ref[:, j]) for j in range(w_ref.shape[1])
-    ]
-    return float(np.mean(angles))
+def match_endmembers(cost: np.ndarray) -> Permutation:
+    """Best assignment of estimated endmember columns to reference columns.
 
-
-@dataclass(frozen=True)
-class ErrorPair:
-    """Abundance RMSE and endmember angle error for one trained model."""
-
-    abundance_rmse: float
-    endmember_sad: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.abundance_rmse) or self.abundance_rmse < 0:
-            raise ValueError("abundance_rmse must be finite and >= 0")
-        if not 0.0 <= self.endmember_sad <= np.pi:
-            raise ValueError("endmember_sad must lie in [0, pi]")
+    cost is an angle_matrix. Returns the permutation p minimizing the sum
+    cost[p[0], 0] + cost[p[1], 1] + ..., added left to right; of several
+    permutations with that least sum, the lexicographically smallest. This
+    is exactly what a search over all E! orderings returns, found in
+    O(E^2 2^E): each position takes the smallest free row whose least
+    completion still reaches the least sum.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost must be a square matrix, not {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost entries must be finite")
+    cols = cost.T.tolist()
+    free = list(range(cost.shape[0]))
+    target = _least_sum(cols, free, 0.0, 0)
+    perm: list[int] = []
+    total = 0.0
+    for pos in range(len(free)):
+        for i in free:
+            rest = [r for r in free if r != i]
+            reached = total + cols[pos][i]
+            if _least_sum(cols, rest, reached, pos + 1) == target:
+                break
+        perm.append(i)
+        free, total = rest, reached
+    return tuple(perm)
 
 
 def unmixing_errors(
@@ -217,14 +203,26 @@ def unmixing_errors(
     a_ref: np.ndarray,
     w_hat: np.ndarray,
     a_hat: np.ndarray,
-) -> tuple[ErrorPair, Permutation]:
-    """Match estimated endmembers to the reference and score both factors."""
-    perm = match_endmembers(w_hat, w_ref)
-    pair = ErrorPair(
-        abundance_rmse=rmse_abundances(a_ref, a_hat, perm),
-        endmember_sad=sad_endmembers(w_ref, w_hat, perm),
-    )
-    return pair, perm
+) -> tuple[float, float, Permutation]:
+    """Match estimated endmembers to the reference and score both factors.
+
+    Returns (abundance_rmse, endmember_sad, perm): the root mean squared
+    error over all E*M abundance entries after putting row perm[j] of a_hat
+    against row j of a_ref, and the mean of the matched entries of the
+    angle matrix.
+    """
+    cost = angle_matrix(w_hat, w_ref)
+    perm = match_endmembers(cost)
+    rows = list(perm)
+    a_ref = np.asarray(a_ref, dtype=np.float64)
+    a_hat = np.asarray(a_hat, dtype=np.float64)
+    if a_ref.shape != a_hat.shape or a_ref.shape[0] != len(rows):
+        raise ValueError(f"abundance shapes {a_ref.shape} and {a_hat.shape} "
+                         f"do not hold {len(rows)} endmembers")
+    diff = a_ref - a_hat[rows, :]
+    abundance_rmse = float(np.sqrt(np.mean(diff * diff)))
+    endmember_sad = float(np.mean(cost[rows, range(len(rows))]))
+    return abundance_rmse, endmember_sad, perm
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on small fixtures."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -151,8 +152,7 @@ class TestTrainExperiment:
         err = capsys.readouterr().err
         assert "error {" in err and "typo_key" in err
 
-    def test_unscorable_endmember_count_fails_before_training(self, tmp_path,
-                                                              config_path, capsys):
+    def test_eleven_endmembers_are_scored(self, tmp_path, config_path):
         scene = tmp_path / "e11"
         assert main(["gen", "--out", str(scene), "--bands", "40", "--endmembers",
                      "11", "--pixels", "200", "--seed", "3"]) == EXIT_OK
@@ -160,9 +160,71 @@ class TestTrainExperiment:
         rc = main(["experiment", "--config", str(config_path), "--data", str(scene),
                    "--out", str(out), "--set", "N=2", "--set", "k=1",
                    "--set", "epochs=1"])
+        assert rc == EXIT_OK
+        records, _ = read_records(out / "records.jsonl")
+        assert len(records) == 2
+        for r in records:
+            assert sorted(r.permutation) == list(range(11))
+
+    @pytest.mark.parametrize("override", ["scale=False", "scale=\"false\"",
+                                          "batch_size=2.7", "N=1.5"])
+    def test_mistyped_override_is_usage_error(self, tmp_path, bundle_dir,
+                                              config_path, override, capsys):
+        out = tmp_path / "x"
+        rc = main(["experiment", "--config", str(config_path), "--data",
+                   str(bundle_dir), "--out", str(out), "--set", override])
         assert rc == EXIT_USAGE
-        assert "11 endmembers" in capsys.readouterr().err
+        assert override.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_scale_string_is_usage_error(self, tmp_path, bundle_dir,
+                                                     config_path):
+        mapping = json.loads(config_path.read_text())
+        mapping["scale"] = "false"
+        config_path.write_text(json.dumps(mapping))
+        rc = main(["train", "--config", str(config_path), "--data",
+                   str(bundle_dir), "--out", str(tmp_path / "t")])
+        assert rc == EXIT_USAGE
+
+    def test_scale_false_trains_unscaled(self, tmp_path, bundle_dir, config_path):
+        out = tmp_path / "t"
+        assert main(["train", "--config", str(config_path), "--data", str(bundle_dir),
+                     "--out", str(out), "--set", "scale=false"]) == EXIT_OK
+        _, meta = read_records(out / "record.jsonl")
+        assert meta["config"]["scale"] is False
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.pop("bands"), "bands"),
+        (lambda h: h["payload_files"].update(pixels="pixels.f32"), "mistyped"),
+    ], ids=["missing-bands", "entry-not-an-object"])
+    def test_malformed_header_is_data_error(self, tmp_path, bundle_dir, config_path,
+                                            capsys, edit, named):
+        header_path = bundle_dir / "header.json"
+        header = json.loads(header_path.read_text())
+        edit(header)
+        header_path.write_text(json.dumps(header))
+        rc = main(["train", "--config", str(config_path), "--data", str(bundle_dir),
+                   "--out", str(tmp_path / "t")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert '"kind": "data"' in err and named in err
+
+    def test_nan_pixel_under_valid_checksum_is_data_error(self, tmp_path, bundle_dir,
+                                                          config_path, capsys):
+        header_path = bundle_dir / "header.json"
+        header = json.loads(header_path.read_text())
+        payload = bundle_dir / header["payload_files"]["pixels"]["file"]
+        pixels = np.frombuffer(payload.read_bytes(), dtype="<f4").copy()
+        pixels[5] = np.nan
+        payload.write_bytes(pixels.tobytes())
+        header["payload_files"]["pixels"]["sha256"] = hashlib.sha256(
+            pixels.tobytes()).hexdigest()
+        header_path.write_text(json.dumps(header))
+        rc = main(["train", "--config", str(config_path), "--data", str(bundle_dir),
+                   "--out", str(tmp_path / "t")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert '"kind": "data"' in err and "finite" in err
 
     def test_missing_ground_truth_is_data_error(self, tmp_path, config_path):
         csv_path = tmp_path / "p.csv"

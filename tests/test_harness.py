@@ -173,19 +173,6 @@ class TestTrainOnce:
 
 
 class TestGrid:
-    def test_unscorable_endmember_count_rejected_before_training(self, monkeypatch):
-        from unmixlab import harness
-        from unmixlab.metrics import MAX_EXHAUSTIVE_ENDMEMBERS
-
-        e = MAX_EXHAUSTIVE_ENDMEMBERS + 1
-        data = tiny_scene(bands=3 * e, endmembers=e, pixels=60)
-        trained = []
-        monkeypatch.setattr(harness, "train_once", lambda *a, **k: trained.append(a))
-        config = tiny_config(n_inits=2, runs_per_init=1, epochs=1)
-        with pytest.raises(ValueError, match=f"{e} endmembers"):
-            harness.run_experiment(config, data)
-        assert trained == []
-
     def test_grid_shape_and_order(self):
         data = tiny_scene()
         records = run_experiment(tiny_config(epochs=3), data)
@@ -199,11 +186,23 @@ class TestGrid:
         r2 = run_experiment(tiny_config(epochs=3), data)
         assert [r.to_json() for r in r1] == [r.to_json() for r in r2]
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
+        """--jobs changes no byte of the record lines or the traces."""
         data = tiny_scene()
-        serial = run_experiment(tiny_config(epochs=3), data, jobs=1)
-        parallel = run_experiment(tiny_config(epochs=3), data, jobs=2)
+        serial = run_experiment(tiny_config(epochs=3), data, out_dir=tmp_path / "s", jobs=1)
+        parallel = run_experiment(tiny_config(epochs=3), data, out_dir=tmp_path / "p", jobs=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+        # the metadata line holds a timestamp and wall times; the rest must match
+        lines = {
+            name: (tmp_path / name / "records.jsonl").read_bytes().split(b"\n")[1:]
+            for name in ("s", "p")
+        }
+        assert len(lines["s"]) == 5 and lines["s"] == lines["p"]
+        traces = sorted(p.name for p in (tmp_path / "s").glob("trace_*.csv"))
+        assert traces == sorted(p.name for p in (tmp_path / "p").glob("trace_*.csv"))
+        assert len(traces) == 4
+        for name in traces:
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
     def test_shared_init_checksums_within_row(self):
         data = tiny_scene()
@@ -521,6 +520,24 @@ class TestConfig:
         config = tiny_config()
         again = ExperimentConfig.from_mapping(config.to_mapping())
         assert again == config
+
+    def test_scale_takes_only_a_flag(self):
+        for value, scale in ((True, True), (False, False), (1, True), (0, False)):
+            assert ExperimentConfig.from_mapping({"scale": value}).scale is scale
+        # bool("False") and bool("false") are True
+        for value in ("False", "false", "true", 2, 0.5, None):
+            with pytest.raises(ValueError, match="scale"):
+                ExperimentConfig.from_mapping({"scale": value})
+
+    def test_integer_keys_reject_fractions(self):
+        config = ExperimentConfig.from_mapping(
+            {"batch_size": 20.0, "N": "3", "encoder": 4.0, "endmembers": 5}
+        )
+        assert (config.batch_size, config.n_inits, config.n1, config.latent_dim) == (20, 3, 4, 5)
+        for key in ("batch_size", "epochs", "N", "k", "master_seed", "encoder", "endmembers"):
+            for value in (2.7, True, float("inf")):
+                with pytest.raises(ValueError, match=key):
+                    ExperimentConfig.from_mapping({key: value})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

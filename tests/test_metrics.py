@@ -11,19 +11,19 @@ from unmixlab.harness import RunRecord
 from unmixlab.metrics import (
     ANGLE_BLOCK_COLUMNS,
     DegenerateSpectrumError,
-    ErrorPair,
     aggregate_errors,
+    angle_matrix,
     format_mean_std,
     lenient_angles,
     match_endmembers,
     mse_loss,
-    rmse_abundances,
     rmse_overwriting,
-    sad_endmembers,
     sad_loss,
     unmixing_errors,
 )
 from unmixlab.stats import group_scores
+
+from metrics_oracles import brute_force_match, rmse_abundances, sad_endmembers
 
 
 def _bits(a):
@@ -230,13 +230,13 @@ class TestMatchEndmembers:
     def test_identity_on_equal(self):
         rng = np.random.default_rng(6)
         w = rng.uniform(0.1, 1.0, (10, 4))
-        assert match_endmembers(w, w) == (0, 1, 2, 3)
+        assert match_endmembers(angle_matrix(w, w)) == (0, 1, 2, 3)
 
     def test_swap_detected(self):
         rng = np.random.default_rng(7)
         w = rng.uniform(0.1, 1.0, (10, 3))
         swapped = w[:, [1, 0, 2]]
-        assert match_endmembers(swapped, w) == (1, 0, 2)
+        assert match_endmembers(angle_matrix(swapped, w)) == (1, 0, 2)
 
     def test_matches_brute_force_enumeration(self):
         """Independent brute force over all 24 permutations."""
@@ -253,67 +253,128 @@ class TestMatchEndmembers:
             cost = sum(angle(w_hat[:, perm[j]], w_ref[:, j]) for j in range(4))
             if cost < best_cost:
                 best, best_cost = perm, cost
-        assert match_endmembers(w_hat, w_ref) == best
+        assert match_endmembers(angle_matrix(w_hat, w_ref)) == best
+
+    def test_equals_the_exhaustive_oracle(self):
+        """The subset DP returns the E! search's tuple, ties and rounding
+        included, on 1200 matrices with E from 2 to 7."""
+        rng = np.random.default_rng(16)
+        kinds = {
+            # distinct random costs
+            "random": lambda e: rng.uniform(0.0, np.pi, (e, e)),
+            # few distinct values, so many orderings share the least sum
+            "quantized": lambda e: 0.25 * rng.integers(0, 3, (e, e)),
+            # an estimate column given twice: two equal rows of angles
+            "duplicate": lambda e: angle_matrix(
+                rng.uniform(0.1, 1.0, (8, e))[:, [0, *range(e - 1)]],
+                rng.uniform(0.1, 1.0, (8, e)),
+            ),
+            # a 1e16 term absorbs later small ones, so orderings whose
+            # prefix sums differ can end at the same total
+            "absorption": lambda e: rng.choice([1e16, 1e-17, 0.0, 1.0, 2.0], (e, e)),
+        }
+        checked = 0
+        for kind, make in kinds.items():
+            for trial in range(300):
+                cost = make(2 + trial % 6)
+                assert match_endmembers(cost) == brute_force_match(cost), (kind, cost)
+                checked += 1
+        assert checked == 1200
+
+    def test_nonfinite_cost_rejected(self):
+        cost = np.ones((4, 4))
+        cost[2, 1] = np.inf
+        for bad in (np.full((4, 4), np.nan), cost):
+            with pytest.raises(ValueError, match="finite"):
+                match_endmembers(bad)
+
+    def test_non_square_cost_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            match_endmembers(np.ones((3, 2)))
 
     def test_zero_column_rejected(self):
         w = np.ones((5, 2))
         bad = w.copy()
         bad[:, 0] = 0.0
         with pytest.raises(DegenerateSpectrumError):
-            match_endmembers(bad, w)
+            angle_matrix(bad, w)
 
-    def test_too_many_endmembers_rejected(self):
-        w = np.random.default_rng(9).uniform(0.1, 1, (30, 11))
-        with pytest.raises(ValueError):
-            match_endmembers(w, w)
+
+def _estimates_for(w_ref, perm):
+    """Estimate columns laid out so that column perm[j] is reference column j."""
+    w_hat = np.empty_like(w_ref)
+    w_hat[:, list(perm)] = w_ref
+    return w_hat
 
 
 class TestAbundanceRmse:
+    """The abundance error of unmixing_errors."""
+
     def test_zero_on_identical(self):
-        a = np.random.default_rng(10).dirichlet(np.ones(3), size=6).T
-        assert rmse_abundances(a, a, (0, 1, 2)) == 0.0
+        rng = np.random.default_rng(10)
+        w = rng.uniform(0.1, 1.0, (8, 3))
+        a = rng.dirichlet(np.ones(3), size=6).T
+        assert unmixing_errors(w, a, w, a)[0] == 0.0
 
     def test_unit_vector_flip(self):
+        w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         a_ref = np.array([[1.0], [0.0]])
         a_hat = np.array([[0.0], [1.0]])
-        assert rmse_abundances(a_ref, a_hat, (0, 1)) == pytest.approx(1.0)
+        rmse, _, perm = unmixing_errors(w, a_ref, w, a_hat)
+        assert perm == (0, 1)
+        assert rmse == pytest.approx(1.0)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(11)
+        w = rng.uniform(0.1, 1.0, (10, 3))
         a_ref = rng.dirichlet(np.ones(3), size=50).T
         a_hat = rng.dirichlet(np.ones(3), size=50).T
         perm = (2, 0, 1)
+        rmse, _, found = unmixing_errors(w, a_ref, _estimates_for(w, perm), a_hat)
+        assert found == perm
         direct = math.sqrt(
             np.mean((a_ref - a_hat[list(perm), :]) ** 2)
         )
-        assert rmse_abundances(a_ref, a_hat, perm) == pytest.approx(direct, abs=1e-12)
+        assert rmse == pytest.approx(direct, abs=1e-12)
+        assert rmse == rmse_abundances(a_ref, a_hat, perm)
 
     def test_same_permutation_both_sides_is_invariant(self):
         rng = np.random.default_rng(12)
+        w = rng.uniform(0.1, 1.0, (10, 4))
         a_ref = rng.dirichlet(np.ones(4), size=30).T
         a_hat = rng.dirichlet(np.ones(4), size=30).T
-        base = rmse_abundances(a_ref, a_hat, (0, 1, 2, 3))
+        base = unmixing_errors(w, a_ref, w, a_hat)[0]
         shuffle = [2, 0, 3, 1]
-        permuted = rmse_abundances(a_ref[shuffle, :], a_hat[shuffle, :], (0, 1, 2, 3))
+        permuted = unmixing_errors(
+            w[:, shuffle], a_ref[shuffle, :], w[:, shuffle], a_hat[shuffle, :]
+        )[0]
         assert base == pytest.approx(permuted, abs=1e-12)
 
 
 class TestSadEndmembers:
+    """The endmember angle error of unmixing_errors."""
+
+    def _a(self, e):
+        return np.random.default_rng(e).dirichlet(np.ones(e), size=5).T
+
     def test_zero_on_identical(self):
         w = np.random.default_rng(13).uniform(0.1, 1.0, (8, 3))
-        assert sad_endmembers(w, w, (0, 1, 2)) == pytest.approx(0.0, abs=1e-7)
+        assert unmixing_errors(w, self._a(3), w, self._a(3))[1] == pytest.approx(0.0, abs=1e-7)
 
     def test_columnwise_scale_invariance(self):
         w = np.random.default_rng(14).uniform(0.1, 1.0, (8, 3))
-        assert sad_endmembers(w, 2 * w, (0, 1, 2)) == pytest.approx(0.0, abs=1e-7)
+        sad = unmixing_errors(w, self._a(3), 2 * w, self._a(3))[1]
+        assert sad == pytest.approx(0.0, abs=1e-7)
 
     def test_half_orthogonal_pair(self):
-        # first pair identical (angle 0), second orthogonal (angle pi/2)
+        # both orderings cost pi/2, so the tie keeps (0, 1): the first pair
+        # identical (angle 0), the second orthogonal (angle pi/2)
         w_ref = np.array([[1.0, 1.0],
                           [0.0, 0.0]])
         w_hat = np.array([[1.0, 0.0],
                           [0.0, 1.0]])
-        value = sad_endmembers(w_ref, w_hat, (0, 1))
+        _, value, perm = unmixing_errors(w_ref, self._a(2), w_hat, self._a(2))
+        assert perm == (0, 1)
         assert value == pytest.approx(math.pi / 4, abs=1e-12)
 
 
@@ -364,12 +425,6 @@ class TestAggregation:
     def test_summary_formatting(self):
         assert format_mean_std(0.0712, 0.104) == "0.07±0.1"
 
-    def test_error_pair_validation(self):
-        with pytest.raises(ValueError):
-            ErrorPair(abundance_rmse=-0.1, endmember_sad=0.2)
-        with pytest.raises(ValueError):
-            ErrorPair(abundance_rmse=0.1, endmember_sad=4.0)
-
 
 class TestUnmixingErrors:
     def test_recovers_permuted_solution(self):
@@ -377,8 +432,54 @@ class TestUnmixingErrors:
         w = rng.uniform(0.1, 1.0, (10, 3))
         a = rng.dirichlet(np.ones(3), size=20).T
         perm = [2, 0, 1]
-        pair, found = unmixing_errors(w, a, w[:, perm], a[perm, :])
-        assert pair.abundance_rmse == pytest.approx(0.0, abs=1e-12)
-        assert pair.endmember_sad == pytest.approx(0.0, abs=1e-7)
+        abundance_rmse, endmember_sad, found = unmixing_errors(w, a, w[:, perm], a[perm, :])
+        assert abundance_rmse == pytest.approx(0.0, abs=1e-12)
+        assert endmember_sad == pytest.approx(0.0, abs=1e-7)
         # found[j] indexes the estimate column matching reference column j
         assert [perm[found[j]] for j in range(3)] == [0, 1, 2]
+
+    @pytest.mark.parametrize("e", [2, 3, 5, 7])
+    def test_equals_the_per_factor_formulas(self, e):
+        """The same permutation as the E! search, and both errors equal to
+        the per-pair angle mean and the permuted-row RMSE, bit for bit."""
+        rng = np.random.default_rng(100 + e)
+        for _ in range(20):
+            w_ref = rng.uniform(0.1, 1.0, (30, e))
+            w_hat = w_ref[:, rng.permutation(e)] + rng.normal(0.0, 0.2, (30, e))
+            a_ref = rng.dirichlet(np.ones(e), size=40).T
+            a_hat = rng.dirichlet(np.ones(e), size=40).T
+            abundance_rmse, endmember_sad, perm = unmixing_errors(w_ref, a_ref, w_hat, a_hat)
+            assert perm == brute_force_match(angle_matrix(w_hat, w_ref))
+            assert abundance_rmse == rmse_abundances(a_ref, a_hat, perm)
+            assert endmember_sad == sad_endmembers(w_ref, w_hat, perm)
+
+    def test_planted_permutation_recovered_at_e12(self):
+        """Twelve endmembers, past the old E! search's reach."""
+        rng = np.random.default_rng(17)
+        w = rng.uniform(0.1, 1.0, (40, 12))
+        a = rng.dirichlet(np.ones(12), size=30).T
+        perm = tuple(int(p) for p in rng.permutation(12))
+        w_hat = _estimates_for(w, perm)
+        a_hat = np.empty_like(a)
+        a_hat[list(perm), :] = a
+        abundance_rmse, endmember_sad, found = unmixing_errors(w, a, w_hat, a_hat)
+        assert found == perm
+        assert abundance_rmse == 0.0
+        assert endmember_sad == pytest.approx(0.0, abs=1e-7)
+
+    def test_nan_abundance_scores_nan(self):
+        """A NaN abundance gives a NaN score, which every consumer drops."""
+        w = np.random.default_rng(18).uniform(0.1, 1.0, (8, 2))
+        a = np.full((2, 4), 0.5)
+        a_hat = a.copy()
+        a_hat[1, 2] = np.nan
+        abundance_rmse, endmember_sad, perm = unmixing_errors(w, a, w, a_hat)
+        assert math.isnan(abundance_rmse)
+        assert perm == (0, 1) and math.isfinite(endmember_sad)
+
+    def test_abundance_shape_mismatch_rejected(self):
+        w = np.random.default_rng(19).uniform(0.1, 1.0, (8, 2))
+        with pytest.raises(ValueError, match="abundance"):
+            unmixing_errors(w, np.ones((2, 4)), w, np.ones((2, 5)))
+        with pytest.raises(ValueError, match="abundance"):
+            unmixing_errors(w, np.ones((3, 4)), w, np.ones((3, 4)))
