@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,12 +45,6 @@ TRACE_SPARSE_EVERY = 100
 
 _DEFAULT_EPOCHS = {"original": 100, "basic": 400}
 _LOSSES = {"mse": mse_loss, "sad": sad_loss}
-
-_CONFIG_KEYS = (
-    "experiment_id", "architecture", "loss", "dataset", "encoder",
-    "batch_size", "learning_rate", "gd", "epochs", "init", "N", "k",
-    "master_seed", "scale", "endmembers",
-)
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,8 @@ class ExperimentConfig:
             raise ValueError("original architecture trains with batch_size >= 2")
         if self.n1 < 1:
             raise ValueError("encoder multiplier must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.gd_rate < 1.0:
             raise ValueError("gd rate must lie in [0, 1)")
         if self.epochs is None:
@@ -99,102 +94,107 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        """Build a config from table-style keys (architecture, loss, dataset,
-        encoder, batch_size, learning_rate, gd, epochs, init, N, k,
-        master_seed, scale, endmembers)."""
+        """Build a config from the table-style keys of _CONFIG_KEYS. A value
+        its key's parser rejects raises ValueError naming the key; a blank
+        value, which a parser returns as None, keeps the field's default."""
         unknown = set(mapping) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "experiment_id" in mapping:
-            kwargs["experiment_id"] = str(mapping["experiment_id"])
-        if "architecture" in mapping:
-            kwargs["architecture"] = str(mapping["architecture"]).strip().lower()
-        if "loss" in mapping:
-            kwargs["loss"] = str(mapping["loss"]).strip().lower()
-        if "dataset" in mapping:
-            kwargs["dataset"] = str(mapping["dataset"])
-        if "encoder" in mapping:
-            kwargs["n1"] = _parse_encoder(mapping["encoder"])
-        if "batch_size" in mapping:
-            kwargs["batch_size"] = _parse_int("batch_size", mapping["batch_size"])
-        if "learning_rate" in mapping:
-            kwargs["learning_rate"] = float(mapping["learning_rate"])
-        if "gd" in mapping:
-            kwargs["gd_rate"] = _parse_optional_float(mapping["gd"], 0.0)
-        if "epochs" in mapping and mapping["epochs"] is not None:
-            kwargs["epochs"] = _parse_int("epochs", mapping["epochs"])
-        if "init" in mapping:
-            kwargs["init_scheme"] = str(mapping["init"])
-        if "N" in mapping:
-            kwargs["n_inits"] = _parse_int("N", mapping["N"])
-        if "k" in mapping:
-            kwargs["runs_per_init"] = _parse_int("k", mapping["k"])
-        if "master_seed" in mapping:
-            kwargs["master_seed"] = _parse_int("master_seed", mapping["master_seed"])
-        if "scale" in mapping:
-            kwargs["scale"] = _parse_flag("scale", mapping["scale"])
-        if "endmembers" in mapping and mapping["endmembers"] is not None:
-            kwargs["latent_dim"] = _parse_int("endmembers", mapping["endmembers"])
+        kwargs = {}
+        for key, value in mapping.items():
+            field, parse = _CONFIG_KEYS[key]
+            try:
+                parsed = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+            if parsed is not None:
+                kwargs[field] = parsed
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
-        out = {
-            "experiment_id": self.experiment_id,
-            "architecture": self.architecture,
-            "loss": self.loss,
-            "dataset": self.dataset,
-            "encoder": f"{self.n1}E",
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "gd": self.gd_rate,
-            "epochs": self.epochs,
-            "init": self.init_scheme,
-            "N": self.n_inits,
-            "k": self.runs_per_init,
-            "master_seed": self.master_seed,
-            "scale": self.scale,
-        }
-        if self.latent_dim is not None:
-            out["endmembers"] = self.latent_dim
+        """The table-style keys that from_mapping reads back to this config;
+        endmembers is left out when it is unset."""
+        out = {key: getattr(self, field) for key, (field, _) in _CONFIG_KEYS.items()}
+        out["encoder"] = f"{self.n1}E"
+        if self.latent_dim is None:
+            del out["endmembers"]
         return out
 
 
-def _parse_encoder(value) -> int:
-    if value is None:
-        return 10
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("", "-"):
-            return 10
-        if text.endswith("e"):
-            text = text[:-1]
-        return int(text)
-    return _parse_int("encoder", value)
+def _parse_text(value) -> str:
+    if value is None or isinstance(value, bool):
+        raise ValueError(f"must be text, not {value!r}")
+    return str(value)
 
 
-def _parse_int(key: str, value) -> int:
-    """An integer key's value: an int, an integral float or an integer
-    string; a bool or a fraction is rejected rather than truncated."""
+def _parse_name(value) -> str:
+    """A case-insensitive choice, such as an architecture or a loss."""
+    return _parse_text(value).strip().lower()
+
+
+def _parse_int(value) -> int:
+    """An int, an integral float or an integer string; a bool or a
+    fraction is rejected rather than truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key} must be an integer, not {value!r}")
+        raise ValueError(f"must be an integer, not {value!r}")
     return int(value)
 
 
-def _parse_flag(key: str, value) -> bool:
-    """A flag's value: a JSON boolean, or 0 or 1. Strings are rejected,
-    because bool("false") is True."""
+def _parse_float(value) -> float:
+    """A finite number or number string; a bool is rejected rather than
+    read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, not {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, not {value!r}")
+    return number
+
+
+def _parse_flag(value) -> bool:
+    """A JSON boolean, or 0 or 1. Strings are rejected, because
+    bool("false") is True."""
     if isinstance(value, (bool, int)) and value in (0, 1):
         return bool(value)
-    raise ValueError(f"{key} must be true or false, not {value!r}")
+    raise ValueError(f"must be true or false, not {value!r}")
 
 
-def _parse_optional_float(value, default: float) -> float:
-    if value is None:
-        return default
-    if isinstance(value, str) and value.strip() in ("", "-"):
-        return default
-    return float(value)
+def _parse_encoder(value) -> int:
+    """The first hidden width as a multiple of E: "10E", "10" or 10."""
+    if isinstance(value, str):
+        value = value.strip().lower().removesuffix("e")
+    return _parse_int(value)
+
+
+def _blank_keeps_default(parse):
+    """parse, except that a blank value (null, "" or "-", as a table leaves
+    a cell empty) gives None, so the field keeps its default."""
+    def parse_or_blank(value):
+        if value is None or (isinstance(value, str) and value.strip() in ("", "-")):
+            return None
+        return parse(value)
+    return parse_or_blank
+
+
+# table key -> (ExperimentConfig field, parser): the one list of config keys
+# that from_mapping, to_mapping and the unknown-key check read
+_CONFIG_KEYS = {
+    "experiment_id": ("experiment_id", _parse_text),
+    "architecture": ("architecture", _parse_name),
+    "loss": ("loss", _parse_name),
+    "dataset": ("dataset", _parse_text),
+    "encoder": ("n1", _blank_keeps_default(_parse_encoder)),
+    "batch_size": ("batch_size", _parse_int),
+    "learning_rate": ("learning_rate", _parse_float),
+    "gd": ("gd_rate", _blank_keeps_default(_parse_float)),
+    "epochs": ("epochs", _blank_keeps_default(_parse_int)),
+    "init": ("init_scheme", _parse_text),
+    "N": ("n_inits", _parse_int),
+    "k": ("runs_per_init", _parse_int),
+    "master_seed": ("master_seed", _parse_int),
+    "scale": ("scale", _parse_flag),
+    "endmembers": ("latent_dim", _blank_keeps_default(_parse_int)),
+}
 
 
 @dataclass(frozen=True)
@@ -220,22 +220,8 @@ class RunRecord:
     def to_json(self) -> str:
         # wall_time deliberately stays out: record lines must be
         # byte-reproducible across reruns.
-        payload = {
-            "experiment_id": self.experiment_id,
-            "init_id": self.init_id,
-            "run_id": self.run_id,
-            "init_seed": self.init_seed,
-            "run_seed": self.run_seed,
-            "init_checksum": self.init_checksum,
-            "final_loss": self.final_loss,
-            "recon_rmse": self.recon_rmse,
-            "recon_sad": self.recon_sad,
-            "abundance_rmse": self.abundance_rmse,
-            "endmember_sad": self.endmember_sad,
-            "permutation": list(self.permutation) if self.permutation else None,
-            "diverged": self.diverged,
-            "trace_file": self.trace_file,
-        }
+        payload = {name: getattr(self, name) for name in _RECORD_JSON_FIELDS}
+        payload["permutation"] = list(self.permutation) if self.permutation else None
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -273,6 +259,9 @@ class RunRecord:
         fields["wall_time"] = 0.0
         fields["trace_file"] = d.get("trace_file")
         return record
+
+
+_RECORD_JSON_FIELDS = [f.name for f in fields(RunRecord) if f.name != "wall_time"]
 
 
 class GradientTrace:
@@ -503,23 +492,37 @@ def grid_seeds(master_seed: int, init_id: int, run_id: int) -> tuple[int, int]:
     return mix64(master_seed, init_id), mix64(master_seed, init_id, run_id)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(config: ExperimentConfig, data: HsiBundle) -> None:
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["data"] = data
-
-
-def _worker_cell(cell: tuple[int, int]):
+def _train_cell(config: ExperimentConfig, data: HsiBundle, cell: tuple[int, int]):
     i, j = cell
-    config = _WORKER_STATE["config"]
-    data = _WORKER_STATE["data"]
     init_seed, run_seed = grid_seeds(config.master_seed, i, j)
     _, record, trace = train_once(
         config, data, init_seed, run_seed, init_id=i, run_id=j
     )
     return record, trace
+
+
+# set in pool workers only, once each, so a task pickles just its cell
+_WORKER_STATE: dict = {}
+
+
+def _worker_init(config: ExperimentConfig, data: HsiBundle) -> None:
+    _WORKER_STATE["args"] = (config, data)
+
+
+def _worker_cell(cell: tuple[int, int]):
+    return _train_cell(*_WORKER_STATE["args"], cell)
+
+
+def _cell_results(config, data, cells, workers: int):
+    """Each cell's (record, trace), in the order of cells, as it arrives."""
+    if workers == 1:
+        for cell in cells:
+            yield _train_cell(config, data, cell)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(config, data)
+    ) as pool:
+        yield from pool.map(_worker_cell, cells)
 
 
 def run_experiment(
@@ -531,35 +534,32 @@ def run_experiment(
     """Run the full N x k grid; output order is (init_id, run_id) regardless
     of scheduling.
 
-    With out_dir set, gradient traces are written as CSV files, records gain
-    their trace_file reference, and the record file records.jsonl is written.
-    Divergence in a cell is contained in that cell's record.
+    jobs must be >= 1; cells run on min(jobs, cells, CPU count) processes,
+    in this one when that is 1. With out_dir set, each cell's gradient trace
+    is written as CSV when its result arrives, records gain their trace_file
+    reference, and records.jsonl is written at the end. Divergence in a cell
+    is contained in that cell's record.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     cells = [
         (i, j)
         for i in range(1, config.n_inits + 1)
         for j in range(1, config.runs_per_init + 1)
     ]
-    # both paths yield the cells' results in the order of cells
-    if jobs <= 1:
-        _worker_init(config, data)
-        results = [_worker_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(config, data)
-        ) as pool:
-            results = list(pool.map(_worker_cell, cells))
-
-    if out_dir is None:
-        return [record for record, _ in results]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
     records = []
-    for record, trace in results:
-        fname = f"trace_i{record.init_id:03d}_j{record.run_id:03d}.csv"
-        trace.to_csv(out / fname)
-        records.append(replace(record, trace_file=fname))
-    write_records(out / "records.jsonl", records, config)
+    for record, trace in _cell_results(config, data, cells, workers):
+        if out is not None:
+            fname = f"trace_i{record.init_id:03d}_j{record.run_id:03d}.csv"
+            trace.to_csv(out / fname)
+            record = replace(record, trace_file=fname)
+        records.append(record)
+    if out is not None:
+        write_records(out / "records.jsonl", records, config)
     return records
 
 

@@ -42,8 +42,9 @@ class FormatError(ValueError):
     """A bundle file is malformed or does not match its header."""
 
 
-class SeparationError(RuntimeError):
-    """Endmember generation could not reach the pairwise-angle floor."""
+class SeparationError(ValueError):
+    """Endmember generation could not reach the pairwise-angle floor: the
+    request asks for more endmembers than its bands and window can part."""
 
 
 def _freeze(a: np.ndarray) -> NDArrayF:
@@ -224,14 +225,17 @@ def generate_endmembers(
     Each column is a moving-average-smoothed uniform random curve, min-max
     scaled into the reflectance range. The whole matrix is resampled until
     every column pair is at least MIN_PAIRWISE_SAD radians apart; after 100
-    failed attempts a SeparationError is raised.
+    failed attempts a SeparationError is raised. The smoothing window must
+    lie in [1, n_bands].
     """
     if n_endmembers < 2:
         raise DimensionError("at least 2 endmembers required")
     if n_bands <= n_endmembers:
         raise DimensionError("need more bands than endmembers")
-    if smoothness < 1:
-        raise ValueError("smoothness window must be >= 1")
+    if not 1 <= smoothness <= n_bands:
+        raise ValueError(
+            f"smoothness window must lie in [1, n_bands={n_bands}], not {smoothness}"
+        )
     rng = np.random.default_rng(seed)
     kernel = np.ones(smoothness) / smoothness
     for _ in range(_MAX_SEPARATION_RETRIES):
@@ -307,23 +311,15 @@ def save_bundle(bundle: HsiBundle, path: str | Path) -> None:
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    payloads: dict[str, dict] = {}
-    blobs: dict[str, bytes] = {}
-
-    entry, blob = _payload_entry("pixels", bundle.pixels, "band-major")
-    payloads["pixels"] = entry
-    blobs[entry["file"]] = blob
+    arrays = {"pixels": (bundle.pixels, "band-major")}
     if bundle.ground_truth is not None:
-        entry, blob = _payload_entry(
-            "endmembers", bundle.ground_truth.endmembers, "column-major"
-        )
-        payloads["endmembers"] = entry
-        blobs[entry["file"]] = blob
-        entry, blob = _payload_entry(
-            "abundances", bundle.ground_truth.abundances, "column-major"
-        )
-        payloads["abundances"] = entry
-        blobs[entry["file"]] = blob
+        arrays["endmembers"] = (bundle.ground_truth.endmembers, "column-major")
+        arrays["abundances"] = (bundle.ground_truth.abundances, "column-major")
+    payloads: dict[str, dict] = {}
+    for name, (array, order) in arrays.items():
+        entry, blob = _payload_entry(name, array, order)
+        (root / entry["file"]).write_bytes(blob)
+        payloads[name] = entry
 
     header = {
         "format_version": FORMAT_VERSION,
@@ -338,8 +334,6 @@ def save_bundle(bundle: HsiBundle, path: str | Path) -> None:
     if bundle.ground_truth is not None:
         header["endmember_count"] = bundle.ground_truth.endmember_count
 
-    for fname, blob in blobs.items():
-        (root / fname).write_bytes(blob)
     with open(root / HEADER_FILE, "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")

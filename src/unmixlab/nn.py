@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -778,8 +779,8 @@ class AdamState:
     def __post_init__(self):
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ValueError("learning_rate and eps must be > 0")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.eps < math.inf):
+            raise ValueError("learning_rate and eps must be finite and > 0")
         if self.t < 0:
             raise ValueError("step counter must be >= 0")
 

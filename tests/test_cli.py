@@ -69,6 +69,18 @@ class TestGenConvert:
         pb = (tmp_path / "b" / "pixels.f32").read_bytes()
         assert pa == pb
 
+    @pytest.mark.parametrize("bands, smoothness, named", [
+        ("14", "40", "smoothness"), ("13", "13", "could not separate"),
+    ], ids=["window-longer-than-spectrum", "unseparable"])
+    def test_impossible_gen_request_is_usage_error(self, tmp_path, capsys,
+                                                   bands, smoothness, named):
+        rc = main(["gen", "--out", str(tmp_path / "g"), "--bands", bands,
+                   "--endmembers", "12", "--smoothness", smoothness])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert '"kind": "usage"' in err and named in err
+        assert not (tmp_path / "g").exists()
+
     def test_convert_csv(self, tmp_path):
         csv_path = tmp_path / "pixels.csv"
         rng = np.random.default_rng(0)
@@ -167,7 +179,9 @@ class TestTrainExperiment:
             assert sorted(r.permutation) == list(range(11))
 
     @pytest.mark.parametrize("override", ["scale=False", "scale=\"false\"",
-                                          "batch_size=2.7", "N=1.5"])
+                                          "batch_size=2.7", "N=1.5", "N=null",
+                                          "learning_rate=NaN", "learning_rate=true",
+                                          "gd=false", "encoder=abcE"])
     def test_mistyped_override_is_usage_error(self, tmp_path, bundle_dir,
                                               config_path, override, capsys):
         out = tmp_path / "x"
@@ -175,6 +189,16 @@ class TestTrainExperiment:
                    str(bundle_dir), "--out", str(out), "--set", override])
         assert rc == EXIT_USAGE
         assert override.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, bundle_dir, config_path,
+                                           jobs, capsys):
+        out = tmp_path / "x"
+        rc = main(["experiment", "--config", str(config_path), "--data",
+                   str(bundle_dir), "--out", str(out), "--jobs", jobs])
+        assert rc == EXIT_USAGE
+        assert "jobs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_scale_string_is_usage_error(self, tmp_path, bundle_dir,

@@ -1,16 +1,21 @@
 """Seeding contracts, grid determinism, divergence containment, persistence."""
 
 import copy
+import gc
 import json
 import math
+import os
 import pickle
+import re
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unmixlab import nn
+from unmixlab import harness, nn
 from unmixlab.harness import (
     ExperimentConfig,
     GradientTrace,
@@ -186,8 +191,10 @@ class TestGrid:
         r2 = run_experiment(tiny_config(epochs=3), data)
         assert [r.to_json() for r in r1] == [r.to_json() for r in r2]
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         """--jobs changes no byte of the record lines or the traces."""
+        # two CPUs, so jobs=2 goes through the pool on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         data = tiny_scene()
         serial = run_experiment(tiny_config(epochs=3), data, out_dir=tmp_path / "s", jobs=1)
         parallel = run_experiment(tiny_config(epochs=3), data, out_dir=tmp_path / "p", jobs=2)
@@ -203,6 +210,63 @@ class TestGrid:
         assert len(traces) == 4
         for name in traces:
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs"):
+                run_experiment(tiny_config(epochs=1), tiny_scene(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (500, 8, 4),  # capped at the 4 cells
+        (3, 2, 2),    # capped at the CPU count
+        (2, None, 1),  # an unknown CPU count runs serially
+        (4, 1, 1),
+    ])
+    def test_worker_count_is_capped(self, monkeypatch, jobs, cpus, workers):
+        """The pool gets min(jobs, cells, CPUs) workers; no process starts."""
+        pools = []
+
+        class Stop(Exception):
+            pass
+
+        def record_pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            raise Stop
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", record_pool)
+        config = tiny_config(epochs=1)
+        if workers == 1:
+            assert len(run_experiment(config, tiny_scene(), jobs=jobs)) == 4
+            assert pools == []
+        else:
+            with pytest.raises(Stop):
+                run_experiment(config, tiny_scene(), jobs=jobs)
+            assert pools == [workers]
+
+    def test_serial_grid_keeps_no_reference_to_the_scene(self):
+        data = tiny_scene()
+        alive = weakref.ref(data)
+        run_experiment(tiny_config(epochs=1, scale=True), data)
+        del data
+        gc.collect()
+        assert alive() is None
+
+    def test_each_trace_is_written_before_the_next_cell_trains(
+        self, tmp_path, monkeypatch
+    ):
+        written_before = {}
+
+        def spy(config, data, init_seed, run_seed, init_id, run_id):
+            written_before[init_id, run_id] = sorted(
+                p.name for p in tmp_path.glob("trace_*.csv")
+            )
+            return train_once(config, data, init_seed, run_seed, init_id, run_id)
+
+        monkeypatch.setattr(harness, "train_once", spy)
+        run_experiment(tiny_config(epochs=1), tiny_scene(), out_dir=tmp_path)
+        assert written_before[1, 2] == ["trace_i001_j001.csv"]
+        assert len(written_before[2, 2]) == 3
 
     def test_shared_init_checksums_within_row(self):
         data = tiny_scene()
@@ -539,6 +603,61 @@ class TestConfig:
                 with pytest.raises(ValueError, match=key):
                     ExperimentConfig.from_mapping({key: value})
 
+    def test_echo_is_pinned(self):
+        """The metadata line's config echo, which report reads its loss
+        from, for the default config and one with every key set."""
+        assert ExperimentConfig().to_mapping() == {
+            "experiment_id": "exp", "architecture": "basic", "loss": "mse",
+            "dataset": "", "encoder": "10E", "batch_size": 20,
+            "learning_rate": 0.01, "gd": 0.0, "epochs": 400,
+            "init": "glorot_uniform", "N": 50, "k": 50, "master_seed": 0,
+            "scale": False,
+        }
+        every_key = {
+            "experiment_id": 7, "architecture": " Original", "loss": "SAD",
+            "dataset": "samson", "encoder": "3e", "batch_size": "8",
+            "learning_rate": "0.5", "gd": 0.25, "epochs": 12.0, "init": "khn",
+            "N": 3, "k": 4, "master_seed": 11, "scale": 1, "endmembers": 5,
+        }
+        assert set(every_key) == set(harness._CONFIG_KEYS)
+        echo = ExperimentConfig.from_mapping(every_key).to_mapping()
+        assert echo == {
+            "experiment_id": "7", "architecture": "original", "loss": "sad",
+            "dataset": "samson", "encoder": "3E", "batch_size": 8,
+            "learning_rate": 0.5, "gd": 0.25, "epochs": 12,
+            "init": "he_normal", "N": 3, "k": 4, "master_seed": 11,
+            "scale": True, "endmembers": 5,
+        }
+        assert ExperimentConfig.from_mapping(echo).to_mapping() == echo
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", True), ("learning_rate", False),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", "NaN"), ("learning_rate", "x"), ("learning_rate", None),
+        ("gd", False), ("gd", True), ("gd", float("nan")),
+        ("encoder", "abcE"), ("N", None), ("k", "two"),
+        ("experiment_id", True), ("architecture", None),
+    ])
+    def test_a_bad_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            ExperimentConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("key, field", [
+        ("encoder", "n1"), ("gd", "gd_rate"), ("epochs", "epochs"),
+        ("endmembers", "latent_dim"),
+    ])
+    def test_a_blank_value_keeps_the_default(self, key, field):
+        default = getattr(ExperimentConfig(), field)
+        for blank in (None, "", " - "):
+            config = ExperimentConfig.from_mapping({key: blank})
+            assert getattr(config, field) == default
+
+    def test_every_key_is_in_the_readme(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"Config keys:(.*?)\.\s", readme, re.S).group(1)
+        named = set(re.findall(r"`(\w+)`", sentence))
+        assert set(harness._CONFIG_KEYS) <= named
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(architecture="original", batch_size=1)
@@ -548,3 +667,6 @@ class TestConfig:
             ExperimentConfig(gd_rate=1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(n_inits=0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                ExperimentConfig(learning_rate=value)

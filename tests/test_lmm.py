@@ -9,6 +9,7 @@ from unmixlab.lmm import (
     GroundTruth,
     HsiBundle,
     NoiseSpec,
+    SeparationError,
     bundle_from_csv,
     generate_endmembers,
     load_bundle,
@@ -159,6 +160,15 @@ class TestGenerateEndmembers:
             generate_endmembers(20, 1)
         with pytest.raises(ValueError):
             generate_endmembers(20, 2, smoothness=0)
+        with pytest.raises(ValueError, match="smoothness"):
+            generate_endmembers(14, 12, smoothness=40)
+        # a window as long as the spectrum still smooths it
+        assert generate_endmembers(14, 2, smoothness=14, seed=1).shape == (14, 2)
+
+    def test_unseparable_endmembers_raise_a_value_error(self):
+        with pytest.raises(SeparationError, match="could not separate 12"):
+            generate_endmembers(13, 12, smoothness=13)
+        assert issubclass(SeparationError, ValueError)
 
 
 class TestBundleIO:

@@ -316,6 +316,10 @@ class TestAdam:
             nn.AdamState(beta1=1.0)
         with pytest.raises(ValueError):
             nn.AdamState(learning_rate=0.0)
+        for field in ("learning_rate", "eps"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    nn.AdamState(**{field: value})
 
 
 class TestCheckpoints:
