@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, training, grids, analysis.
 
 Subcommands: gen, convert, train, experiment, analyze, plan, report.
-Exit codes: 0 success, 2 usage/config errors, 3 data errors, 1 anything else.
+Exit codes: 0 success, 3 when the content of a file the user named is bad,
+2 for any other usage or configuration error, 1 anything else.
 Failures print one machine-readable line to stderr: `error {json}`.
 """
 
@@ -32,12 +33,8 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
 class DataError(ValueError):
-    pass
+    """Bad content in a file the user named: exit 3, where a ValueError is 2."""
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -49,7 +46,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def _parse_override(text: str) -> tuple[str, object]:
     if "=" not in text:
-        raise UsageError(f"override {text!r} is not key=value")
+        raise ValueError(f"override {text!r} is not key=value")
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
@@ -63,11 +60,11 @@ def _load_config(args) -> harness.ExperimentConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
-            raise UsageError(f"config file {path} does not exist")
+            raise ValueError(f"config file {path} does not exist")
         try:
             mapping = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}")
+            raise ValueError(f"config file {path} is not valid JSON: {exc}")
     for item in getattr(args, "set", None) or []:
         key, value = _parse_override(item)
         mapping[key] = value
@@ -76,13 +73,13 @@ def _load_config(args) -> harness.ExperimentConfig:
     try:
         return harness.ExperimentConfig.from_mapping(mapping)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad configuration: {exc}")
+        raise ValueError(f"bad configuration: {exc}")
 
 
 def _load_bundle(args) -> lmm.HsiBundle:
     path = getattr(args, "data", None)
     if not path:
-        raise UsageError("--data is required")
+        raise ValueError("--data is required")
     try:
         return lmm.load_bundle(path)
     except ValueError as exc:
@@ -125,7 +122,7 @@ def _cmd_convert(args) -> int:
         bundle = lmm.bundle_from_csv(
             args.csv, name=args.name, width=args.width, height=args.height
         )
-    except lmm.FormatError as exc:
+    except ValueError as exc:
         raise DataError(str(exc))
     lmm.save_bundle(bundle, args.out)
     print(f"wrote bundle {args.out} ({bundle.bands} bands, {bundle.pixel_count} pixels)")
@@ -201,9 +198,9 @@ def _cmd_analyze(args) -> int:
     records, _meta = _read_records(args)
     try:
         grouped = stats.group_scores(records, args.metric)
+        report = stats.analyze_grouped(grouped, alpha=args.alpha, metric=args.metric)
     except ValueError as exc:
         raise DataError(str(exc))
-    report = stats.analyze_grouped(grouped, alpha=args.alpha, metric=args.metric)
     files = stats.write_stat_report(report, args.out)
     verdict = "rejected" if report.rejected else "not rejected"
     print(f"levene W={report.levene_stat:.6g} p={report.levene_p:.6g}")
@@ -223,7 +220,7 @@ def _cmd_plan(args) -> int:
         threshold = args.threshold if args.threshold is not None else float("nan")
     else:
         if args.records is None or args.threshold is None:
-            raise UsageError("plan needs either --p-hat or --records with --threshold")
+            raise ValueError("plan needs either --p-hat or --records with --threshold")
         records, _ = _read_records(args)
         p_hat = stats.estimate_success_prob(records, args.metric, args.threshold)
         threshold = args.threshold
@@ -313,9 +310,9 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
 
     try:
         grouped = stats.group_scores(records, metric)
+        report = stats.analyze_grouped(grouped, alpha=alpha, metric=metric)
     except ValueError:
         return written
-    report = stats.analyze_grouped(grouped, alpha=alpha, metric=metric)
     written.extend(stats.write_stat_report(report, out))
     return written
 
@@ -423,11 +420,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, "usage", str(exc))
     except DataError as exc:
-        return _fail(EXIT_DATA, "data", str(exc))
-    except (lmm.DimensionError, lmm.FormatError) as exc:
         return _fail(EXIT_DATA, "data", str(exc))
     except ValueError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

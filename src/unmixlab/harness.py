@@ -369,9 +369,14 @@ def train_once(
     Weights depend on init_seed only; batch order and dropout noise depend on
     run_seed only. Mini-batches keep the last short batch, except that a
     single-pixel batch is skipped when the network holds batch normalization
-    (which needs batch statistics). A non-finite loss or gradient marks the
-    record diverged, stops the run, and leaves the metric fields empty; the
-    gradient trace is kept up to the failure iteration.
+    (which needs batch statistics).
+
+    A run fails on a zero-norm column in the SAD loss, a non-finite loss or
+    gradient, a non-finite parameter after the last step, an endmember
+    column whose norm is zero or overflows at scoring, or a non-finite
+    score. Each raises, and one handler here turns it into a diverged
+    record whose loss, scores and permutation are empty; the gradient trace
+    is kept up to the failing iteration.
     """
     t0 = time.perf_counter()
     bundle = data
@@ -384,15 +389,41 @@ def train_once(
     )
     nn.initialize_network(net, config.init_scheme, init_seed)
     init_checksum = net.parameter_checksum()
-    state = nn.AdamState(learning_rate=config.learning_rate)
-    loss_fn = _LOSSES[config.loss]
-    has_bn = any(layer.kind == "batch_norm" for layer in net.encoder)
-
     traced = _trainable_encoder_layers(net)
     trace = GradientTrace([name for name, _ in traced])
+    diverged = False
+    try:
+        # numpy's overflow warnings are noise: a failing run raises below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            final_loss = _fit(
+                net, config, bundle.pixels, run_seed,
+                trace if log_gradients else None, traced,
+            )
+            scores = _score(net, bundle)
+    except (DegenerateSpectrumError, nn.DivergenceError):
+        diverged = True
+        final_loss, scores = None, dict.fromkeys(_SCORE_FIELDS)
+    record = RunRecord(
+        experiment_id=config.experiment_id,
+        init_id=init_id,
+        run_id=run_id,
+        init_seed=int(init_seed),
+        run_seed=int(run_seed),
+        init_checksum=init_checksum,
+        final_loss=final_loss,
+        **scores,
+        diverged=diverged,
+        wall_time=time.perf_counter() - t0,
+    )
+    return net, record, trace
 
-    x = bundle.pixels
-    m = x.shape[1]
+
+def _fit(net, config, x, run_seed, trace, traced) -> float | None:
+    """Train net in place on the columns of x; returns the last step's loss.
+
+    A failure raises: DegenerateSpectrumError from the SAD loss, or
+    DivergenceError for a non-finite loss, gradient or final parameter.
+    """
     # Batches come from a pixel-major copy: the row gather xt[idx] is about
     # ten times cheaper than the column gather x[:, idx] at B=156, and its
     # transpose is the F-ordered (bands x batch) array x[:, idx] returns, so
@@ -401,90 +432,64 @@ def train_once(
     # the step's activations and input gradients live in reused buffers;
     # the pixels were checked for finiteness when the bundle was built
     workspace = nn.Workspace(net)
+    state = nn.AdamState(learning_rate=config.learning_rate)
+    loss_fn = _LOSSES[config.loss]
+    has_bn = any(layer.kind == "batch_norm" for layer in net.encoder)
     rng_run = np.random.default_rng(run_seed)
+    m = x.shape[1]
     iteration = 0
-    diverged = False
-    final_loss: float | None = None
+    value = None
+    for _ in range(config.epochs):
+        order = rng_run.permutation(m)
+        for start in range(0, m, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            if idx.size == 1 and has_bn:
+                continue
+            xb = xt[idx].T
+            dropout_seed = int(rng_run.integers(0, 2**63))
+            iteration += 1
+            recon, _, cache = nn.forward(
+                net, xb, mode=nn.TRAIN, seed=dropout_seed, workspace=workspace,
+            )
+            value, loss_grad = loss_fn(xb, recon)
+            if not math.isfinite(value):
+                raise nn.DivergenceError(f"non-finite loss at iteration {iteration}")
+            nn.backward(net, cache, loss_grad)
+            if trace is not None and trace.should_log(iteration):
+                stats = [_mean_std(net.flat_grads[sl]) for _, sl in traced]
+                trace.log(iteration, [s[0] for s in stats], [s[1] for s in stats])
+            nn.apply_gradients(net, state)
+    if not np.isfinite(net.flat_params).all():
+        raise nn.DivergenceError("non-finite parameter after the last step")
+    return value
 
-    # overflow inside a failing run is contained via the diverged flag, so
-    # numpy warnings are noise here
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(config.epochs):
-            order = rng_run.permutation(m)
-            for start in range(0, m, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                if idx.size == 1 and has_bn:
-                    continue
-                xb = xt[idx].T
-                dropout_seed = int(rng_run.integers(0, 2**63))
-                iteration += 1
-                try:
-                    recon, _, cache = nn.forward(
-                        net, xb, mode=nn.TRAIN, seed=dropout_seed,
-                        workspace=workspace,
-                    )
-                    value, loss_grad = loss_fn(xb, recon)
-                except DegenerateSpectrumError:
-                    diverged = True
-                    break
-                if not math.isfinite(value):
-                    diverged = True
-                    break
-                final_loss = value
-                nn.backward(net, cache, loss_grad)
-                if log_gradients and trace.should_log(iteration):
-                    stats = [_mean_std(net.flat_grads[sl]) for _, sl in traced]
-                    trace.log(
-                        iteration, [s[0] for s in stats], [s[1] for s in stats]
-                    )
-                try:
-                    nn.apply_gradients(net, state)
-                except nn.DivergenceError:
-                    diverged = True
-                    break
-            if diverged:
-                break
-    del xt, workspace  # before the full-scene forward
 
-    recon_rmse = recon_sad = abundance_rmse = endmember_sad = None
-    permutation = None
-    if not diverged:
-        # The scene-sized arrays here are x and recon: the angle works in
-        # column blocks, the RMSE then overwrites recon, and the eval cache
-        # (every hidden activation of the scene) is dropped at once.
-        recon, abundances = nn.forward(net, x, mode=nn.EVAL)[:2]
-        recon_sad = float(lenient_angles(x, recon).mean())
-        recon_rmse = rmse_overwriting(x, recon)
-        if bundle.ground_truth is not None:
-            try:
-                abundance_rmse, endmember_sad, permutation = unmixing_errors(
-                    bundle.ground_truth.endmembers,
-                    bundle.ground_truth.abundances,
-                    extract_endmembers(net),
-                    abundances,
-                )
-            except DegenerateSpectrumError:
-                # A dead endmember column is a failed solution.
-                diverged = True
-                recon_rmse = recon_sad = None
+_SCORE_FIELDS = (
+    "recon_rmse", "recon_sad", "abundance_rmse", "endmember_sad", "permutation",
+)
 
-    record = RunRecord(
-        experiment_id=config.experiment_id,
-        init_id=init_id,
-        run_id=run_id,
-        init_seed=int(init_seed),
-        run_seed=int(run_seed),
-        init_checksum=init_checksum,
-        final_loss=final_loss if not diverged else None,
-        recon_rmse=recon_rmse,
-        recon_sad=recon_sad,
-        abundance_rmse=abundance_rmse,
-        endmember_sad=endmember_sad,
-        permutation=permutation,
-        diverged=diverged,
-        wall_time=time.perf_counter() - t0,
-    )
-    return net, record, trace
+
+def _score(net: nn.Network, bundle: HsiBundle) -> dict:
+    """The score fields of a trained net's record. An endmember column
+    without an angle raises DegenerateSpectrumError, and a non-finite score
+    DivergenceError."""
+    # The scene-sized arrays here are x and recon: the angle works in
+    # column blocks, the RMSE then overwrites recon, and the eval cache
+    # (every hidden activation of the scene) is dropped at once.
+    x = bundle.pixels
+    recon, abundances = nn.forward(net, x, mode=nn.EVAL)[:2]
+    recon_sad = float(lenient_angles(x, recon).mean())
+    recon_rmse = rmse_overwriting(x, recon)
+    errors = (None, None, None)
+    if bundle.ground_truth is not None:
+        truth = bundle.ground_truth
+        errors = unmixing_errors(
+            truth.endmembers, truth.abundances, extract_endmembers(net), abundances
+        )
+    scalars = (recon_rmse, recon_sad, *errors[:2])
+    if not all(math.isfinite(v) for v in scalars if v is not None):
+        raise nn.DivergenceError("non-finite score")
+    return dict(zip(_SCORE_FIELDS, (recon_rmse, recon_sad, *errors)))
 
 
 def grid_seeds(master_seed: int, init_id: int, run_id: int) -> tuple[int, int]:

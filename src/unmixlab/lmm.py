@@ -139,12 +139,6 @@ class HsiBundle:
     def pixel_count(self) -> int:
         return self.pixels.shape[1]
 
-    @property
-    def endmember_count(self) -> int | None:
-        if self.ground_truth is None:
-            return None
-        return self.ground_truth.endmember_count
-
 
 def synthesize(
     endmembers: np.ndarray,

@@ -76,13 +76,14 @@ def sad_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
 
 
 def spectral_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in radians between two spectra (scale invariant)."""
+    """Angle in radians between two spectra (scale invariant). A spectrum
+    whose norm is zero, or overflows, has no angle."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateSpectrumError("zero-norm spectrum")
+    if not (0.0 < nu < math.inf and 0.0 < nv < math.inf):
+        raise DegenerateSpectrumError("spectrum norm is zero or not finite")
     c = float(np.dot(u, v) / (nu * nv))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 

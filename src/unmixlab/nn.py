@@ -861,38 +861,43 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    """Rebuild a network saved by save_checkpoint."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a network checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise ValueError("checkpoint payload checksum mismatch")
-    encoder = [layer_from_spec(s) for s in header["encoder"]]
-    decoder = layer_from_spec(header["decoder"])
-    net = Network(
-        encoder,
-        decoder,
-        input_dim=header["input_dim"],
-        latent_dim=header["latent_dim"],
-        arch=header["architecture"],
-        meta=header.get("meta", {}),
-    )
-    offset = 0
-    flat = np.frombuffer(payload, dtype="<f8")
-    targets = dict(net.named_parameters())
-    targets.update(net.named_buffers())
-    for item in header["params"] + header["buffers"]:
-        shape = tuple(item["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        np.copyto(targets[item["name"]], flat[offset : offset + size].reshape(shape))
-        offset += size
-    if offset != flat.size:
-        raise ValueError("checkpoint payload length disagrees with header")
-    return net
+    """Rebuild a network saved by save_checkpoint. A file that is not a
+    whole checkpoint (cut short, a header key missing or mistyped, a
+    corrupted payload) raises ValueError."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+            if magic != CHECKPOINT_MAGIC:
+                raise ValueError(f"{path} is not a network checkpoint")
+            (version,) = struct.unpack("<I", fh.read(4))
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            (hlen,) = struct.unpack("<Q", fh.read(8))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            payload = fh.read()
+        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+            raise ValueError("checkpoint payload checksum mismatch")
+        encoder = [layer_from_spec(s) for s in header["encoder"]]
+        decoder = layer_from_spec(header["decoder"])
+        net = Network(
+            encoder,
+            decoder,
+            input_dim=header["input_dim"],
+            latent_dim=header["latent_dim"],
+            arch=header["architecture"],
+            meta=header.get("meta", {}),
+        )
+        offset = 0
+        flat = np.frombuffer(payload, dtype="<f8")
+        targets = dict(net.named_parameters())
+        targets.update(net.named_buffers())
+        for item in header["params"] + header["buffers"]:
+            shape = tuple(item["shape"])
+            size = int(np.prod(shape)) if shape else 1
+            np.copyto(targets[item["name"]], flat[offset : offset + size].reshape(shape))
+            offset += size
+        if offset != flat.size:
+            raise ValueError("checkpoint payload length disagrees with header")
+        return net
+    except (struct.error, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a whole checkpoint: {exc!r}") from exc

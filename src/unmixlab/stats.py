@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -433,32 +433,26 @@ def ph_ratio(posthoc: np.ndarray, alpha: float) -> float:
 METRIC_NAMES = ("recon_rmse", "recon_sad", "abundance_rmse", "endmember_sad")
 
 
-def metric_values(records: Iterable, metric) -> NDArrayF:
-    """Extract one score per record; diverged or unscored runs become +inf.
-
-    `metric` is an attribute name (one of recon_rmse, recon_sad,
-    abundance_rmse, endmember_sad) or a callable on the record.
-    """
-    if callable(metric):
-        getter: Callable = metric
-    else:
-        if metric not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {metric!r}; expected {METRIC_NAMES}")
-        getter = lambda r: getattr(r, metric)  # noqa: E731
+def metric_values(records: Iterable, metric: str) -> NDArrayF:
+    """One score per record, read from the attribute named metric (one of
+    METRIC_NAMES); diverged or unscored runs become +inf."""
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}; expected {METRIC_NAMES}")
     out = []
     for rec in records:
         if getattr(rec, "diverged", False):
             out.append(math.inf)
             continue
-        val = getter(rec)
+        val = getattr(rec, metric)
         out.append(math.inf if val is None else float(val))
     if not out:
         raise ValueError("no records given")
     return np.asarray(out)
 
 
-def estimate_success_prob(records: Iterable, metric, threshold: float) -> float:
-    """Empirical probability that one training run scores below threshold.
+def estimate_success_prob(records: Iterable, metric: str, threshold: float) -> float:
+    """Empirical probability that one training run scores below threshold
+    on the metric named metric (one of METRIC_NAMES).
 
     Diverged runs count as failures in the denominator.
     """

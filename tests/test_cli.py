@@ -81,6 +81,16 @@ class TestGenConvert:
         assert '"kind": "usage"' in err and named in err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--bands", "3", "--endmembers", "3"], "need more bands than endmembers"),
+        (["--pixels", "0"], "at least one pixel required"),
+    ], ids=["bands-not-above-endmembers", "no-pixels"])
+    def test_bad_gen_arguments_are_usage_errors(self, tmp_path, capsys, args, message):
+        """No file is read, so an impossible request is the user's usage."""
+        assert main(["gen", "--out", str(tmp_path / "g"), *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert '"kind": "usage"' in err and message in err
+
     def test_convert_csv(self, tmp_path):
         csv_path = tmp_path / "pixels.csv"
         rng = np.random.default_rng(0)
@@ -95,6 +105,15 @@ class TestGenConvert:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
         assert "error {" in capsys.readouterr().err
+
+
+    def test_convert_csv_holding_nan_is_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "pixels.csv"
+        csv_path.write_text("0.1,0.2\nnan,0.4\n")
+        rc = main(["convert", "--csv", str(csv_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert '"kind": "data"' in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrainExperiment:
@@ -341,6 +360,15 @@ class TestAnalyze:
         assert message in err["message"]
 
 
+    def test_an_init_with_one_scored_run_is_data_error(self, tmp_path, capsys):
+        """Levene needs two scores per group; the record file lacks them."""
+        path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, None, None]])
+        rc = main(["analyze", "--records", str(path), "--out", str(tmp_path / "s")])
+        assert rc == EXIT_DATA
+        err = json.loads(capsys.readouterr().err[len("error "):])
+        assert err == {"kind": "data", "message": "every group needs at least 2 scores"}
+
+
 class TestPlan:
     def test_direct_p_hat(self, capsys):
         assert main(["plan", "--p-hat", "0.5", "--confidence", "0.95"]) == EXIT_OK
@@ -387,6 +415,13 @@ class TestReport:
         assert int(row[2]) == 5
         summary = (out / "summary.txt").read_text()
         assert "records: 100" in summary
+
+    def test_an_init_with_one_scored_run_skips_the_stat_report(self, tmp_path):
+        path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, None, None]])
+        out = tmp_path / "report"
+        assert main(["report", "--records", str(path), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "histogram.csv", "summary.txt", "trials.csv"]
 
     def test_single_value_single_nonzero_bin(self, tmp_path):
         records = fixture_records(tmp_path / "r.jsonl", [[0.3, 0.3], [0.3, 0.3]])

@@ -30,6 +30,7 @@ from unmixlab.harness import (
 )
 from unmixlab.lmm import HsiBundle, generate_endmembers, sample_abundances, synthesize
 from unmixlab.seeding import mix64
+from strict_records import strict_record_lines
 
 
 def tiny_scene(bands=12, endmembers=2, pixels=90, pure=0.2, seed=1):
@@ -46,6 +47,36 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _zero_pixel(px):
+    px[:, 40] = 0.0
+    return px
+
+
+def _near_float_max(px):
+    px[:, -3:] *= 1e154
+    return px
+
+
+# case -> (config overrides, pixel edit or None to keep the ground truth).
+# The comments name the failure each case reaches; a pixel edit leaves the
+# scene without ground truth.
+FAILING_RUNS = {
+    # a zero pixel has no spectral angle: sad_loss raises a few steps in
+    "sad-zero-pixel": (dict(loss="sad", batch_size=15, epochs=3), _zero_pixel),
+    # pixels near the float64 ceiling overflow the squared loss
+    "pixels-near-float-max": (dict(batch_size=15, epochs=3), _near_float_max),
+    # the loss is patched to hand backward an infinite gradient
+    "infinite-gradient": (dict(), None),
+    # one Adam step on large gradients makes a parameter infinite
+    "lr-1e308-pixels-x100": (dict(learning_rate=1e308), lambda px: px * 100.0),
+    # one Adam step leaves endmember columns whose norms overflow
+    "lr-1e308": (dict(learning_rate=1e308), None),
+    "lr-1e300": (dict(learning_rate=1e300), None),
+    # with no ground truth to match, the reconstruction error is NaN
+    "lr-1e300-no-ground-truth": (dict(learning_rate=1e300), lambda px: px),
+}
 
 
 class TestSeeding:
@@ -114,20 +145,29 @@ class TestTrainOnce:
                 best = min(best, record.recon_rmse)
         assert best < 0.05
 
-    def test_divergence_is_contained_and_flagged(self):
-        # a few pixels near the float64 ceiling overflow the squared loss as
-        # soon as a batch samples them, a seed or two into the epoch
-        base = tiny_scene()
-        px = base.pixels.copy()
-        px[:, -3:] *= 1e154
-        data = HsiBundle(pixels=px, name="poisoned")
-        config = tiny_config(epochs=3, latent_dim=2)
+    @pytest.mark.parametrize("case", list(FAILING_RUNS))
+    def test_divergence_is_contained_and_flagged(self, case, monkeypatch, tmp_path):
+        """Every way a run fails gives the same record: diverged, with no
+        loss, scores or permutation, and the trace up to the failure."""
+        overrides, pixels = FAILING_RUNS[case]
+        data = tiny_scene(bands=16, endmembers=3, pixels=60)
+        if pixels is not None:
+            data = HsiBundle(pixels=pixels(data.pixels.copy()), name=case)
+        if case == "infinite-gradient":
+            def loss_with_infinite_gradient(x, x_hat):
+                value, grad = harness.mse_loss(x, x_hat)
+                grad[0, 0] = math.inf
+                return value, grad
+            monkeypatch.setitem(harness._LOSSES, "mse", loss_with_infinite_gradient)
+        config = tiny_config(**{"batch_size": 60, "epochs": 1, "latent_dim": 3, **overrides})
         _, record, trace = train_once(config, data, 1, 3)
         assert record.diverged
-        assert record.recon_rmse is None and record.abundance_rmse is None
-        assert record.final_loss is None
-        # trace was flushed up to the failure iteration
+        assert record.final_loss is None and record.permutation is None
+        assert record.recon_rmse is None and record.recon_sad is None
+        assert record.abundance_rmse is None and record.endmember_sad is None
         assert len(trace) >= 1
+        write_records(tmp_path / "records.jsonl", [record])
+        assert strict_record_lines(tmp_path / "records.jsonl")[1]["diverged"] is True
 
     def test_record_fields_and_permutation(self):
         data = tiny_scene()
@@ -267,6 +307,21 @@ class TestGrid:
         run_experiment(tiny_config(epochs=1), tiny_scene(), out_dir=tmp_path)
         assert written_before[1, 2] == ["trace_i001_j001.csv"]
         assert len(written_before[2, 2]) == 3
+
+    def test_a_grid_of_failed_runs_is_written(self, tmp_path):
+        """At a learning rate of 1e308 every cell fails; the grid still
+        returns both records and writes them as strict JSON."""
+        config = tiny_config(learning_rate=1e308, epochs=1, batch_size=60,
+                             n_inits=2, runs_per_init=1)
+        data = tiny_scene(bands=16, endmembers=3, pixels=60)
+        records = run_experiment(config, data, out_dir=tmp_path)
+        assert [(r.init_id, r.diverged) for r in records] == [(1, True), (2, True)]
+        meta, *lines = strict_record_lines(tmp_path / "records.jsonl")
+        assert meta["count"] == 2 and len(lines) == 2
+        for line in lines:
+            assert line["diverged"] is True and line["permutation"] is None
+            assert {line[k] for k in ("final_loss", "recon_rmse", "recon_sad",
+                                      "abundance_rmse", "endmember_sad")} == {None}
 
     def test_shared_init_checksums_within_row(self):
         data = tiny_scene()

@@ -1,7 +1,10 @@
 """Network assembly, initializer statistics, full-model gradients, Adam."""
 
 import copy
+import json
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,4 +367,32 @@ class TestCheckpoints:
         blob[-3] ^= 0x1
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError):
+            nn.load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path) -> tuple[Path, bytes, dict, bytes]:
+        """(path, the bytes before the header, the header, the payload) of a
+        saved checkpoint."""
+        path = tmp_path / "net.ckpt"
+        nn.save_checkpoint(nn.build_network("basic", 8, 2, n1=3), path)
+        blob = path.read_bytes()
+        start = len(nn.CHECKPOINT_MAGIC) + 12
+        (hlen,) = struct.unpack("<Q", blob[start - 8 : start])
+        return path, blob[:start], json.loads(blob[start : start + hlen]), blob[start + hlen :]
+
+    @pytest.mark.parametrize("keep", [2, 6], ids=["in-version", "in-length"])
+    def test_checkpoint_cut_inside_its_header_rejected(self, tmp_path, keep):
+        path, prefix, _, _ = self._saved(tmp_path)
+        path.write_bytes(prefix[: len(nn.CHECKPOINT_MAGIC) + keep])
+        with pytest.raises(ValueError, match="checkpoint"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["payload_sha256", "input_dim", "params"])
+    def test_checkpoint_header_missing_a_key_rejected(self, tmp_path, key):
+        path, prefix, header, payload = self._saved(tmp_path)
+        del header[key]
+        blob = json.dumps(header).encode("utf-8")
+        prefix = prefix[:-8] + struct.pack("<Q", len(blob))
+        path.write_bytes(prefix + blob + payload)
+        with pytest.raises(ValueError, match=key):
             nn.load_checkpoint(path)
