@@ -1,4 +1,4 @@
-"""Command-line front end: dataset generation, training, grids, analysis.
+"""Command-line front end: synthetic datasets, training, grids, analysis.
 
 Subcommands: gen, convert, train, experiment, analyze, plan, report.
 Exit codes: 0 success, 3 when the content of a file the user named is bad,
@@ -129,17 +129,20 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _require_ground_truth(config, bundle) -> None:
+def _check_bundle(config, bundle) -> None:
+    """Reject a loaded bundle that the config cannot train on."""
     if bundle.ground_truth is None and config.latent_dim is None:
         raise DataError(
             "bundle has no ground truth; set the 'endmembers' config key to train"
         )
+    if config.scale and np.ptp(bundle.pixels) < lmm.MIN_SCALE_SPAN:
+        raise DataError("bundle pixels are constant; scale=true cannot min-max scale them")
 
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
     bundle = _load_bundle(args)
-    _require_ground_truth(config, bundle)
+    _check_bundle(config, bundle)
     init_seed, run_seed = harness.grid_seeds(config.master_seed, 1, 1)
     if args.init_seed is not None:
         init_seed = args.init_seed
@@ -160,7 +163,7 @@ def _cmd_train(args) -> int:
 def _cmd_experiment(args) -> int:
     config = _load_config(args)
     bundle = _load_bundle(args)
-    _require_ground_truth(config, bundle)
+    _check_bundle(config, bundle)
     records = harness.run_experiment(config, bundle, out_dir=args.out, jobs=args.jobs)
     diverged = sum(r.diverged for r in records)
     print(f"grid complete: {len(records)} runs ({diverged} diverged); "
@@ -203,7 +206,10 @@ def _cmd_analyze(args) -> int:
         raise DataError(str(exc))
     files = stats.write_stat_report(report, args.out)
     verdict = "rejected" if report.rejected else "not rejected"
-    print(f"levene W={report.levene_stat:.6g} p={report.levene_p:.6g}")
+    if report.levene_stat is None:
+        print(stats.LEVENE_NOT_RUN)
+    else:
+        print(f"levene W={report.levene_stat:.6g} p={report.levene_p:.6g}")
     print(f"kruskal-wallis H={report.kw_h:.6g} p={report.kw_p:.6g} "
           f"log_p={report.kw_log_p:.6g} ({verdict} at alpha={report.alpha})")
     if report.ph_ratio is not None:
@@ -234,9 +240,7 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _freedman_diaconis_bins(values: np.ndarray, override: int | None) -> int:
-    if override is not None:
-        return max(1, override)
+def _freedman_diaconis_bins(values: np.ndarray) -> int:
     v = values[np.isfinite(values)]
     if v.size < 2:
         return 1
@@ -260,7 +264,7 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
     if finite.size == 0:
         raise DataError("all runs diverged; nothing to report")
 
-    n_bins = _freedman_diaconis_bins(finite, bins)
+    n_bins = bins if bins is not None else _freedman_diaconis_bins(finite)
     counts, edges = np.histogram(finite, bins=n_bins)
     hist_path = out / "histogram.csv"
     with open(hist_path, "w", newline="", encoding="utf-8") as fh:
@@ -331,6 +335,22 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _probability(text: str) -> float:
+    """An argparse type: a number strictly between 0 and 1 (NaN is not)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), not {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
@@ -388,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metric", default="recon_rmse", choices=stats.METRIC_NAMES)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_probability, default=0.05)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plan", help="size the retry count for a threshold")
@@ -396,17 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-hat", type=float)
     p.add_argument("--threshold", type=float)
     p.add_argument("--metric", default="recon_rmse", choices=stats.METRIC_NAMES)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=_probability, default=0.95)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("report", help="emit histogram, trials, and summary files")
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metric", default="recon_rmse", choices=stats.METRIC_NAMES)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--alpha", type=_probability, default=0.05)
+    p.add_argument("--confidence", type=_probability, default=0.95)
     p.add_argument("--thresholds", type=float, nargs="+")
-    p.add_argument("--bins", type=int)
+    p.add_argument("--bins", type=_at_least_one)
     p.set_defaults(func=_cmd_report)
 
     return parser

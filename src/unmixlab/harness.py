@@ -429,9 +429,6 @@ def _fit(net, config, x, run_seed, trace, traced) -> float | None:
     # transpose is the F-ordered (bands x batch) array x[:, idx] returns, so
     # every matmul sees the same operand layout and rounds the same.
     xt = np.ascontiguousarray(x.T)
-    # the step's activations and input gradients live in reused buffers;
-    # the pixels were checked for finiteness when the bundle was built
-    workspace = nn.Workspace(net)
     state = nn.AdamState(learning_rate=config.learning_rate)
     loss_fn = _LOSSES[config.loss]
     has_bn = any(layer.kind == "batch_norm" for layer in net.encoder)
@@ -448,9 +445,7 @@ def _fit(net, config, x, run_seed, trace, traced) -> float | None:
             xb = xt[idx].T
             dropout_seed = int(rng_run.integers(0, 2**63))
             iteration += 1
-            recon, _, cache = nn.forward(
-                net, xb, mode=nn.TRAIN, seed=dropout_seed, workspace=workspace,
-            )
+            recon, _, cache = nn.forward(net, xb, mode=nn.TRAIN, seed=dropout_seed)
             value, loss_grad = loss_fn(xb, recon)
             if not math.isfinite(value):
                 raise nn.DivergenceError(f"non-finite loss at iteration {iteration}")

@@ -1,4 +1,4 @@
-"""Linear mixing model data types, synthetic scene generation, and bundle I/O.
+"""Linear mixing model data types, synthetic scenes, and bundle I/O.
 
 A hyperspectral image is a B x M matrix of reflectance values (B bands,
 M pixels, one pixel per column). Under the linear mixing model a pixel is
@@ -30,6 +30,8 @@ MIN_PAIRWISE_SAD = 0.15
 REFLECTANCE_LO = 0.05
 REFLECTANCE_HI = 0.95
 _MAX_SEPARATION_RETRIES = 100
+# min_max_scale rejects an image whose max - min is below this
+MIN_SCALE_SPAN = 1e-12
 
 HEADER_FILE = "header.json"
 
@@ -43,7 +45,7 @@ class FormatError(ValueError):
 
 
 class SeparationError(ValueError):
-    """Endmember generation could not reach the pairwise-angle floor: the
+    """Drawn endmembers could not reach the pairwise-angle floor: the
     request asks for more endmembers than its bands and window can part."""
 
 
@@ -265,9 +267,9 @@ def min_max_scale(bundle: HsiBundle) -> tuple[HsiBundle, tuple[float, float]]:
     """
     lo = float(bundle.pixels.min())
     hi = float(bundle.pixels.max())
-    if hi - lo < 1e-12:
-        raise ValueError("cannot min-max scale a constant image")
     span = hi - lo
+    if span < MIN_SCALE_SPAN:
+        raise ValueError("cannot min-max scale a constant image")
     pixels = (bundle.pixels - lo) / span
     gt = bundle.ground_truth
     if gt is not None:

@@ -12,11 +12,12 @@ suite.
 
 A layer's forward(x, mode, rng, slot) keeps in its slot, a plain dict,
 both what backward(dy, slot) reads and every array it wrote as an `out=`.
-An array found in the slot from an earlier call is written over, so a slot
-that a Workspace lends again lets a step allocate no activations, while an
-empty {} allocates. backward returns only the input gradient; it writes
-the parameter gradients into the layer's grads, arrays the layer owns from
-construction and that a Network rebinds as views of its flat_grads.
+An array found in the slot from an earlier call is written over, so the
+train slots a Network keeps per batch shape let a step allocate no
+activations, while an empty {} allocates. backward returns only the input
+gradient; it writes the parameter gradients into the layer's grads, arrays
+the layer owns from construction and that a Network rebinds as views of
+its flat_grads.
 """
 
 from __future__ import annotations
@@ -436,6 +437,10 @@ class Network:
     gradients that backward writes make a whole Adam step a handful of
     vector operations. param_slices maps each parameter name to its slice
     of both vectors, and named_grads maps it to its gradient view.
+
+    The network also keeps the train slots of forward, one list per batch
+    shape and layout, and a version that every train forward, Adam step and
+    initialization bumps: a cache of an older version is stale.
     """
 
     def __init__(self, encoder, decoder: Linear, input_dim: int, latent_dim: int,
@@ -465,6 +470,7 @@ class Network:
         self.meta = dict(meta or {})
         self.sum_to_one_index = sum_to_one_index
         self._version = 0
+        self._slots: dict[tuple, list[dict]] = {}
         self._bind_arena()
 
     def _owners(self):
@@ -496,14 +502,25 @@ class Network:
             self.param_slices[name] = sl
             start = sl.stop
 
+    def _claim_slots(self, x: np.ndarray) -> list[dict]:
+        """The train slots for a batch of x's shape and layout, made on
+        first use: one per encoder layer, then the decoder's. The first
+        layer's input is the batch, whose gradient nothing reads."""
+        key = (x.shape, x.strides)
+        slots = self._slots.get(key)
+        if slots is None:
+            slots = self._slots[key] = [{"skip_dx": True}] + [{} for _ in self.encoder]
+        return slots
+
+    def __getstate__(self):
+        # copies and pickles carry no train slots; a copy makes its own on
+        # its first train forward
+        return {**self.__dict__, "_slots": {}}
+
     def __setstate__(self, state):
         # copy and pickle duplicate the views apart from the arena; rebind
         self.__dict__.update(state)
         self._bind_arena()
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     def named_parameters(self) -> dict[str, NDArrayF]:
         return {
@@ -620,46 +637,6 @@ class _LazyRng:
         return getattr(self._gen, name)
 
 
-class Workspace:
-    """Train-mode slots that a training loop keeps for one network.
-
-    A forward through a workspace gets the slots of the last forward with
-    the same batch shape and layout, so every layer writes its output, mask
-    and input gradient into the arrays it wrote the step before, and a
-    steady loop allocates no new activations. Each distinct batch shape
-    gets its own slots (an epoch's short last batch does not evict the
-    full-width ones).
-
-    Aliasing: the reconstruction and abundances that forward returns, the
-    slots in its cache and the input gradients that backward passes
-    between layers are workspace arrays, overwritten by the next forward
-    through the same workspace. Each forward bumps `generation`, and
-    backward refuses a cache of an older generation with CacheError. Copy
-    out whatever must outlive the step.
-    """
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.generation = 0
-        self._sets: dict[tuple, list[dict]] = {}
-
-    def claim(self, x: np.ndarray) -> list[dict]:
-        """Start a forward of x: the slots of its shape and layout."""
-        key = (x.shape, x.strides)
-        slots = self._sets.get(key)
-        if slots is None:
-            slots = self._sets[key] = _new_slots(self.net)
-        self.generation += 1
-        return slots
-
-
-def _new_slots(net: Network) -> list[dict]:
-    """Empty slots for a train forward: one per encoder layer, then the
-    decoder's. The first layer's input is the batch, whose gradient
-    nothing reads."""
-    return [{"skip_dx": True}] + [{} for _ in net.encoder]
-
-
 @dataclass
 class ForwardCache:
     """What backward needs of one forward call: the network state it ran
@@ -670,25 +647,24 @@ class ForwardCache:
     version: int
     mode: str
     slots: list
-    workspace: Workspace | None = None
-    generation: int = 0
 
 
 def forward(
     net: Network, batch: np.ndarray, mode: str = EVAL, seed: int = 0,
-    workspace: Workspace | None = None,
 ) -> tuple[NDArrayF, NDArrayF, ForwardCache]:
     """Run the autoencoder on a (bands x batch) matrix.
 
     Returns (reconstruction, abundances, cache). Abundances are the
     sum-to-one layer output, before any dropout. Dropout noise is drawn
-    from the given seed and is active in train mode only.
+    from the given seed and is active in train mode only. A batch with a
+    non-finite entry raises ValueError.
 
-    Without a workspace every result is a fresh array and the batch is
-    checked for non-finite entries. A workspace (train mode only) lends its
-    slots instead, under the aliasing rule of Workspace, and skips that
-    scan: its caller feeds pixels that were checked once at the boundary,
-    as an HsiBundle's are.
+    A train forward runs in net's train slots for the batch's shape and
+    layout and bumps net's version: the arrays it returns and the slots in
+    its cache are overwritten by the next train forward of that shape, and
+    its cache is stale after any later train forward, so copy out whatever
+    must outlive the step. An eval forward returns fresh arrays and frees
+    the train slots.
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be {TRAIN!r} or {EVAL!r}")
@@ -699,20 +675,18 @@ def forward(
         )
     if x.shape[1] < 1:
         raise ValueError("batch must hold at least one column")
-    if workspace is None:
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite batch input")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite batch input")
+    if mode == TRAIN:
+        slots = net._claim_slots(x)
+        net._version += 1
+    else:
         # only backward reads the slots, and it refuses an eval cache: an
         # eval forward drops each slot at the next layer, and with it the
         # activation it held, so a full-scene forward holds only what the
         # running layer reads and writes
-        slots = _new_slots(net) if mode == TRAIN else None
-    else:
-        if workspace.net is not net:
-            raise ValueError("workspace was made for a different network")
-        if mode != TRAIN:
-            raise ValueError("a workspace serves train-mode forwards only")
-        slots = workspace.claim(x)
+        net._slots.clear()
+        slots = None
     rng = _LazyRng(seed)
     abundances = None
     for i, layer in enumerate(net.encoder):
@@ -724,11 +698,9 @@ def forward(
     recon = net.decoder.forward(x, mode, rng, {} if slots is None else slots[-1])
     cache = ForwardCache(
         net=net,
-        version=net.version,
+        version=net._version,
         mode=mode,
         slots=[] if slots is None else slots,
-        workspace=workspace,
-        generation=0 if workspace is None else workspace.generation,
     )
     return recon, abundances, cache
 
@@ -739,20 +711,18 @@ def backward(
     """Gradients of the loss for every trainable parameter.
 
     loss_grad is dL/d(reconstruction) from the loss function. The cache must
-    come from a train-mode forward on this exact network with no parameter
-    update in between and, for a workspace forward, no later forward through
-    that workspace. Each layer writes its gradients into its grads, views
-    into net.flat_grads; the return value is net.named_grads, the same dict
-    on every call, whose arrays the next backward on the network overwrites.
+    come from the last train-mode forward on this exact network, with no
+    parameter update or initialization since. Each layer writes its
+    gradients into its grads, views into net.flat_grads; the return value
+    is net.named_grads, the same dict on every call, whose arrays the next
+    backward on the network overwrites.
     """
     if cache.net is not net:
         raise CacheError("cache was built for a different network")
-    if cache.version != net.version:
-        raise CacheError("stale cache: parameters changed since forward")
+    if cache.version != net._version:
+        raise CacheError("stale cache: the network changed since its forward")
     if cache.mode != TRAIN:
         raise CacheError("backward needs a train-mode forward cache")
-    if cache.workspace is not None and cache.generation != cache.workspace.generation:
-        raise CacheError("stale cache: a later forward reused its workspace")
     slots = cache.slots
     dy = net.decoder.backward(np.asarray(loss_grad, dtype=np.float64), slots[-1])
     for i in range(len(net.encoder) - 1, -1, -1):

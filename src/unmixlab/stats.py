@@ -485,13 +485,14 @@ def required_trials(p_hat: float, p_req: float) -> int:
 
 @dataclass(frozen=True)
 class StatReport:
-    """Outcome of the Levene / Kruskal-Wallis / Conover-Iman pipeline."""
+    """Outcome of the Levene / Kruskal-Wallis / Conover-Iman pipeline.
+    Levene's fields are None when a group has fewer than 2 scores."""
 
     alpha: float
     metric: str
     group_sizes: tuple[int, ...]
-    levene_stat: float
-    levene_p: float
+    levene_stat: float | None
+    levene_p: float | None
     kw_h: float
     kw_p: float
     kw_log_p: float
@@ -511,12 +512,15 @@ def analyze_grouped(
 ) -> StatReport:
     """Run the test pipeline on grouped scores.
 
-    The post-hoc matrix and significant-pair ratio are filled only when
-    Kruskal-Wallis rejects at alpha; p-values below the float64 log range
-    report their natural log as -inf.
+    Levene's test is skipped, its fields None, when a group has fewer than
+    2 scores. The post-hoc matrix and significant-pair ratio are filled only
+    when Kruskal-Wallis rejects at alpha; p-values below the float64 log
+    range report their natural log as -inf.
     """
     g = _as_groups(groups)
-    lev_w, lev_p = levene(g)
+    lev_w = lev_p = None
+    if min(g.sizes) >= 2:
+        lev_w, lev_p = levene(g)
     h, p = kruskal_wallis(g)
     log_p = math.log(p) if p > 0.0 else -math.inf
     posthoc = None
@@ -557,6 +561,9 @@ def group_scores(records: Iterable, metric="recon_rmse") -> GroupedScores:
     return GroupedScores(tuple(ordered))
 
 
+LEVENE_NOT_RUN = "levene: not run (a group has fewer than 2 scores)"
+
+
 def write_stat_report(report: StatReport, out_dir) -> list[Path]:
     """Write the text report plus, when present, the post-hoc CSV files.
 
@@ -567,13 +574,16 @@ def write_stat_report(report: StatReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    levene_lines = [LEVENE_NOT_RUN] if report.levene_stat is None else [
+        f"levene_stat: {report.levene_stat!r}",
+        f"levene_p: {report.levene_p!r}",
+    ]
     lines = [
         f"metric: {report.metric}",
         f"alpha: {report.alpha!r}",
         f"groups: {len(report.group_sizes)}",
         f"group_sizes: {','.join(str(s) for s in report.group_sizes)}",
-        f"levene_stat: {report.levene_stat!r}",
-        f"levene_p: {report.levene_p!r}",
+        *levene_lines,
         f"kw_h: {report.kw_h!r}",
         f"kw_p: {report.kw_p!r}",
         f"kw_log_p: {report.kw_log_p!r}",

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from unmixlab import stats
 from unmixlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from unmixlab.harness import ExperimentConfig, RunRecord, read_records, write_records
 from unmixlab.lmm import load_bundle
@@ -279,6 +280,19 @@ class TestTrainExperiment:
                    "--out", str(tmp_path / "t")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_scaling_a_constant_bundle_is_data_error(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "flat.csv"
+        csv_path.write_text("0.5,0.5,0.5\n" * 3)
+        flat = tmp_path / "flat"
+        assert main(["convert", "--csv", str(csv_path), "--out", str(flat)]) == EXIT_OK
+        rc = main([command, "--data", str(flat), "--out", str(tmp_path / "t"),
+                   "--set", "scale=true", "--set", "endmembers=2"])
+        assert rc == EXIT_DATA
+        err = json.loads(capsys.readouterr().err.splitlines()[-1][len("error "):])
+        assert err["kind"] == "data" and "constant" in err["message"]
+        assert not (tmp_path / "t").exists()
+
 
 class TestAnalyze:
     def test_fixture_three_groups_reports_h(self, tmp_path, capsys):
@@ -360,13 +374,19 @@ class TestAnalyze:
         assert message in err["message"]
 
 
-    def test_an_init_with_one_scored_run_is_data_error(self, tmp_path, capsys):
-        """Levene needs two scores per group; the record file lacks them."""
+    def test_an_init_with_one_scored_run_is_analyzed(self, tmp_path, capsys):
+        """Levene needs two scores per group and is skipped; Kruskal-Wallis
+        runs on the scores there are, in analyze and in report."""
         path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, None, None]])
         rc = main(["analyze", "--records", str(path), "--out", str(tmp_path / "s")])
-        assert rc == EXIT_DATA
-        err = json.loads(capsys.readouterr().err[len("error "):])
-        assert err == {"kind": "data", "message": "every group needs at least 2 scores"}
+        assert rc == EXIT_OK
+        assert stats.LEVENE_NOT_RUN in capsys.readouterr().out
+        h, p = stats.kruskal_wallis([[1, 2, 3], [4]])
+        lines = (tmp_path / "s" / "stat_report.txt").read_text().splitlines()
+        assert stats.LEVENE_NOT_RUN in lines
+        assert f"kw_h: {h!r}" in lines and f"kw_p: {p!r}" in lines
+        assert main(["report", "--records", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert (tmp_path / "r" / "stat_report.txt").read_text().splitlines() == lines
 
 
 class TestPlan:
@@ -415,13 +435,6 @@ class TestReport:
         assert int(row[2]) == 5
         summary = (out / "summary.txt").read_text()
         assert "records: 100" in summary
-
-    def test_an_init_with_one_scored_run_skips_the_stat_report(self, tmp_path):
-        path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, None, None]])
-        out = tmp_path / "report"
-        assert main(["report", "--records", str(path), "--out", str(out)]) == EXIT_OK
-        assert sorted(p.name for p in out.iterdir()) == [
-            "histogram.csv", "summary.txt", "trials.csv"]
 
     def test_single_value_single_nonzero_bin(self, tmp_path):
         records = fixture_records(tmp_path / "r.jsonl", [[0.3, 0.3], [0.3, 0.3]])
@@ -476,6 +489,26 @@ class TestReport:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("analyze", "--alpha", "1.5"),
+        ("analyze", "--alpha", "0"),
+        ("analyze", "--alpha", "nan"),
+        ("report", "--alpha", "1.5"),
+        ("report", "--confidence", "1.0"),
+        ("report", "--bins", "0"),
+    ])
+    def test_out_of_range_option_is_usage_error_before_any_file(
+            self, tmp_path, capsys, command, option, value):
+        records = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        out = tmp_path / "out"
+        # a reachable threshold, so that report would size its trials
+        thresholds = ["--thresholds", "5"] if command == "report" else []
+        rc = main([command, "--records", str(records), "--out", str(out),
+                   *thresholds, option, value])
+        assert rc == EXIT_USAGE
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shared_parser_carries_no_values_between_calls(self, tmp_path, bundle_dir,
                                                            config_path):

@@ -210,18 +210,22 @@ class TestForwardContracts:
         net = nn.build_network("original", 10, 3, gd_rate=0.3)
         nn.initialize_network(net, "khu", seed=30)
         x = np.random.default_rng(31).uniform(0, 1, (10, 5))
-        r1, _, _ = nn.forward(net, x, mode=nn.TRAIN, seed=5)
-        r2, _, _ = nn.forward(net, x, mode=nn.TRAIN, seed=5)
+        # a train forward writes the network's slots, which the next train
+        # forward of the same shape overwrites: keep copies
+        r1 = nn.forward(net, x, mode=nn.TRAIN, seed=5)[0].copy()
+        r2 = nn.forward(net, x, mode=nn.TRAIN, seed=5)[0].copy()
         r3, _, _ = nn.forward(net, x, mode=nn.TRAIN, seed=6)
         np.testing.assert_array_equal(r1, r2)
         assert not np.array_equal(r1, r3)
 
     def test_nonfinite_input_rejected(self):
         net = nn.build_network("basic", 6, 2, n1=3)
-        x = np.ones((6, 2))
-        x[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            nn.forward(net, x)
+        for bad in (np.inf, np.nan):
+            x = np.ones((6, 2))
+            x[0, 0] = bad
+            for mode in (nn.EVAL, nn.TRAIN):
+                with pytest.raises(ValueError, match="non-finite"):
+                    nn.forward(net, x, mode=mode)
 
     def test_batchnorm_single_column_train_rejected(self):
         net = nn.build_network("original", 8, 2)

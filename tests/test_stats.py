@@ -527,6 +527,15 @@ class TestPipeline:
         assert not report.rejected
         assert report.posthoc is None and report.ph_ratio is None
 
+    def test_a_single_score_group_skips_levene_only(self):
+        groups = [[1.0, 2.0, 3.0, 1.5, 2.5, 1.2, 1.1], [40.0], [50, 60, 70, 55, 65]]
+        report = analyze_grouped(groups)
+        assert report.levene_stat is None and report.levene_p is None
+        assert (report.kw_h, report.kw_p) == kruskal_wallis(groups)
+        assert report.rejected and report.posthoc.shape == (3, 3)
+        with pytest.raises(ValueError):
+            levene(groups)
+
     def test_log_p_underflow_reports_neg_inf(self):
         # H so large the chi-square tail underflows float64
         big = analyze_grouped(

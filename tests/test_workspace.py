@@ -1,10 +1,12 @@
-"""The train-mode workspace against the allocating forward and backward it
-replaces: every layer kind, a slot used again against a fresh one, and
-both architectures, bit for bit (signed zeros and layouts included); the
-generation guard on stale caches; and copies of a network."""
+"""The network's train slots against the allocating forward and backward
+they replace: every layer kind, a slot used again against a fresh one, and
+both architectures, bit for bit (signed zeros and layouts included); slot
+reuse per batch shape; the one version counter that makes caches stale;
+the eval forward that frees the slots; and copies of a network."""
 
 import copy
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -157,81 +159,93 @@ def _net(arch, kwargs, bands=14, latent=3, seed=5):
 class TestNetwork:
     @pytest.mark.parametrize("arch,kwargs,loss_fn", ARCHS)
     def test_training_steps_match_the_allocating_path(self, arch, kwargs, loss_fn):
-        fast = _net(arch, kwargs)
-        slow = copy.deepcopy(fast)
-        state_fast, state_slow = nn.AdamState(0.01), nn.AdamState(0.01)
-        workspace = nn.Workspace(fast)
+        net = _net(arch, kwargs)
+        state = nn.AdamState(0.01)
         rng = np.random.default_rng(11)
         xt = rng.uniform(0.05, 1.0, (40, 14))
         # pixel-major gathers as the training loop makes them, with the
         # short batch of an epoch between full ones, and one C-ordered batch
         batches = [xt[rng.permutation(40)[:w]].T for w in (8, 8, 3, 8, 3, 8)]
         batches.append(np.ascontiguousarray(batches[0]))
+        recons = {}
         for step, xb in enumerate(batches):
-            r_ref, a_ref, c_ref = nn.forward(slow, xb, mode=nn.TRAIN, seed=step)
-            r, a, c = nn.forward(fast, xb, mode=nn.TRAIN, seed=step, workspace=workspace)
+            # a copy holds no slots, so its step allocates every array afresh
+            twin, twin_state = copy.deepcopy(net), copy.deepcopy(state)
+            r_ref, a_ref, c_ref = nn.forward(twin, xb, mode=nn.TRAIN, seed=step)
+            r, a, c = nn.forward(net, xb, mode=nn.TRAIN, seed=step)
+            key = (xb.shape, xb.strides)
+            assert r is recons.setdefault(key, r)
+            assert not np.shares_memory(r, r_ref)
             assert_same_array(r, r_ref)
             assert_same_array(a, a_ref)
-            nn.backward(slow, c_ref, loss_fn(xb, r_ref)[1])
-            nn.backward(fast, c, loss_fn(xb, r)[1])
-            assert_same_array(fast.flat_grads, slow.flat_grads)
-            nn.apply_gradients(slow, state_slow)
-            nn.apply_gradients(fast, state_fast)
-            assert_same_array(fast.flat_params, slow.flat_params)
-            for name, buf in slow.named_buffers().items():
-                assert_same_array(fast.named_buffers()[name], buf)
-        assert workspace.generation == len(batches)
+            nn.backward(twin, c_ref, loss_fn(xb, r_ref)[1])
+            nn.backward(net, c, loss_fn(xb, r)[1])
+            assert_same_array(net.flat_grads, twin.flat_grads)
+            nn.apply_gradients(twin, twin_state)
+            nn.apply_gradients(net, state)
+            assert_same_array(net.flat_params, twin.flat_params)
+            for name, buf in twin.named_buffers().items():
+                assert_same_array(net.named_buffers()[name], buf)
+        assert len(recons) == 3
 
     def test_short_batch_does_not_evict_the_full_width_buffers(self):
         net = _net("basic", {"n1": 4})
-        workspace = nn.Workspace(net)
         x = np.random.default_rng(12).uniform(0.05, 1.0, (14, 8))
-        full, _, _ = nn.forward(net, x, mode=nn.TRAIN, workspace=workspace)
-        short, _, _ = nn.forward(net, x[:, :3], mode=nn.TRAIN, workspace=workspace)
-        again, _, _ = nn.forward(net, x, mode=nn.TRAIN, workspace=workspace)
-        assert again is full
+        full, full_ab, _ = nn.forward(net, x, mode=nn.TRAIN)
+        short, _, _ = nn.forward(net, x[:, :3], mode=nn.TRAIN)
+        again, again_ab, _ = nn.forward(net, x, mode=nn.TRAIN)
+        assert again is full and again_ab is full_ab
         assert not np.shares_memory(short, full)
 
     def test_backward_on_an_older_cache_is_rejected(self):
         net = _net("original", {"gd_rate": 0.1})
-        workspace = nn.Workspace(net)
         x = np.random.default_rng(13).uniform(0.05, 1.0, (14, 6))
-        r1, _, c1 = nn.forward(net, x, mode=nn.TRAIN, seed=1, workspace=workspace)
-        g1 = mse_loss(x, r1)[1]
-        r2, _, c2 = nn.forward(net, x, mode=nn.TRAIN, seed=2, workspace=workspace)
-        with pytest.raises(nn.CacheError, match="workspace"):
-            nn.backward(net, c1, g1)
-        nn.backward(net, c2, mse_loss(x, r2)[1])
-        # the allocating path keeps its caches independent, as before
-        _, _, c3 = nn.forward(net, x, mode=nn.TRAIN, seed=3)
-        nn.forward(net, x, mode=nn.TRAIN, seed=4)
-        nn.backward(net, c3, np.zeros((14, 6)))
+        later = {
+            "same shape": lambda: nn.forward(net, x, mode=nn.TRAIN, seed=2),
+            "another shape": lambda: nn.forward(net, x[:, :4], mode=nn.TRAIN),
+            "apply_gradients": lambda: nn.apply_gradients(net, nn.AdamState(0.01)),
+            "initialize_network": lambda: nn.initialize_network(net, "xgu", 5),
+        }
+        for step in later.values():
+            recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=1)
+            grad = mse_loss(x, recon)[1]
+            nn.backward(net, cache, grad)
+            step()
+            with pytest.raises(nn.CacheError, match="stale"):
+                nn.backward(net, cache, grad)
+        # an eval forward changes nothing that backward reads
+        recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=3)
+        nn.forward(net, x, mode=nn.EVAL)
+        nn.backward(net, cache, mse_loss(x, recon)[1])
 
-    def test_workspace_is_bound_to_its_network_and_to_train_mode(self):
-        net = _net("basic", {"n1": 4})
-        other = _net("basic", {"n1": 4})
-        x = np.full((14, 4), 0.5)
-        with pytest.raises(ValueError, match="different network"):
-            nn.forward(other, x, mode=nn.TRAIN, workspace=nn.Workspace(net))
-        with pytest.raises(ValueError, match="train-mode"):
-            nn.forward(net, x, mode=nn.EVAL, workspace=nn.Workspace(net))
+    def test_eval_forward_frees_the_train_slots(self):
+        net = _net("original", {"gd_rate": 0.1})
+        x = np.random.default_rng(15).uniform(0.05, 1.0, (14, 6))
+        recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=1)
+        held = weakref.ref(recon)
+        del recon, cache
+        # the network's slots still hold the reconstruction
+        assert held() is not None
+        nn.forward(net, x, mode=nn.EVAL)
+        assert held() is None
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))])
     def test_copies_share_no_workspace_buffers(self, clone):
         net = _net("original", {"gd_rate": 0.1})
-        workspace = nn.Workspace(net)
         x = np.random.default_rng(14).uniform(0.05, 1.0, (14, 6))
-        recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=1, workspace=workspace)
+        recon, _, cache = nn.forward(net, x, mode=nn.TRAIN, seed=1)
         nn.backward(net, cache, mse_loss(x, recon)[1])
         kept = [arr for slot in cache.slots for arr in slot.values()
                 if isinstance(arr, np.ndarray)]
         assert kept
         twin = clone(net)
+        assert twin._slots == {} and net._slots
         arrays = [twin.flat_params, twin.flat_grads, *twin.named_buffers().values()]
         arrays += [g for layer in twin.encoder + [twin.decoder]
                    for g in getattr(layer, "grads", {}).values()]
         for arr in arrays:
             assert not any(np.shares_memory(arr, buf) for buf in kept)
         before = recon.copy()
-        nn.forward(twin, x, mode=nn.TRAIN, seed=2, workspace=nn.Workspace(twin))
+        twin_recon = nn.forward(twin, x, mode=nn.TRAIN, seed=2)[0]
+        assert not np.shares_memory(twin_recon, recon)
         np.testing.assert_array_equal(recon, before)
