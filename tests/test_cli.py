@@ -376,7 +376,7 @@ class TestAnalyze:
 
     def test_an_init_with_one_scored_run_is_analyzed(self, tmp_path, capsys):
         """Levene needs two scores per group and is skipped; Kruskal-Wallis
-        runs on the scores there are, in analyze and in report."""
+        runs on the scores there are."""
         path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, None, None]])
         rc = main(["analyze", "--records", str(path), "--out", str(tmp_path / "s")])
         assert rc == EXIT_OK
@@ -385,8 +385,6 @@ class TestAnalyze:
         lines = (tmp_path / "s" / "stat_report.txt").read_text().splitlines()
         assert stats.LEVENE_NOT_RUN in lines
         assert f"kw_h: {h!r}" in lines and f"kw_p: {p!r}" in lines
-        assert main(["report", "--records", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
-        assert (tmp_path / "r" / "stat_report.txt").read_text().splitlines() == lines
 
 
 class TestPlan:
@@ -435,6 +433,18 @@ class TestReport:
         assert int(row[2]) == 5
         summary = (out / "summary.txt").read_text()
         assert "records: 100" in summary
+
+    def test_an_init_with_one_scored_run_writes_the_stat_report(self, tmp_path):
+        """report writes the same stat_report.txt as analyze, Levene skipped."""
+        path = fixture_records(tmp_path / "r.jsonl", [[1, 2, 3], [4, None, None]])
+        out = tmp_path / "report"
+        assert main(["report", "--records", str(path), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "histogram.csv", "stat_report.txt", "summary.txt", "trials.csv"]
+        assert main(["analyze", "--records", str(path), "--out", str(tmp_path / "s")]) == EXIT_OK
+        lines = (out / "stat_report.txt").read_text().splitlines()
+        assert stats.LEVENE_NOT_RUN in lines
+        assert (tmp_path / "s" / "stat_report.txt").read_text().splitlines() == lines
 
     def test_single_value_single_nonzero_bin(self, tmp_path):
         records = fixture_records(tmp_path / "r.jsonl", [[0.3, 0.3], [0.3, 0.3]])
