@@ -173,8 +173,8 @@ def _cmd_experiment(args) -> int:
 
 def _read_records(args):
     """The records and metadata of --records. A file this version did not
-    write, or whose record count differs from its metadata's (a cut or
-    appended file), is a data error."""
+    write, whose record count differs from its metadata's (a cut or
+    appended file), or in which no run scores --metric, is a data error."""
     path = Path(args.records)
     if not path.exists():
         raise DataError(f"record file {path} does not exist")
@@ -193,6 +193,15 @@ def _read_records(args):
         raise DataError(
             f"record file {path} holds {len(records)} records but its "
             f"metadata line says count {meta.get('count')!r}"
+        )
+    if any(not r.diverged for r in records) and all(
+        getattr(r, args.metric) is None for r in records if not r.diverged
+    ):
+        # not a divergence: the runs never computed the metric, as a
+        # bundle without ground truth computes no endmember_sad
+        raise DataError(
+            f"no record in {path} scores {args.metric}: every run that did "
+            f"not diverge leaves it empty; choose another --metric"
         )
     return records, meta
 
@@ -241,6 +250,9 @@ def _cmd_plan(args) -> int:
 
 
 def _freedman_diaconis_bins(values: np.ndarray) -> int:
+    """The Freedman-Diaconis bin count of the finite values, at most one
+    bin per value: an interquartile range far below the span (tightly
+    tied scores beside an outlier) would ask for billions."""
     v = values[np.isfinite(values)]
     if v.size < 2:
         return 1
@@ -249,7 +261,7 @@ def _freedman_diaconis_bins(values: np.ndarray) -> int:
     if iqr <= 0 or span <= 0:
         return 1
     width = 2.0 * iqr / v.size ** (1.0 / 3.0)
-    return max(1, int(np.ceil(span / width)))
+    return int(min(v.size, max(1.0, np.ceil(span / width))))
 
 
 def emit_report(records, metric: str, out_dir, alpha: float = 0.05,

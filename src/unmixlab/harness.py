@@ -335,13 +335,15 @@ def _trainable_encoder_layers(net: nn.Network) -> list[tuple[str, slice]]:
     return out
 
 
-def _mean_std(g: np.ndarray) -> tuple[float, float]:
-    """(g.mean(), g.std()) with numpy's own operation order, bit for bit,
-    but one pass fewer: the sum of g is taken once for both."""
-    mean = np.add.reduce(g) / g.size
-    dev = g - mean
+def _mean_std(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g.mean(axis=-1), g.std(axis=-1)), each row with the bits of numpy's
+    own g[r].mean() and g[r].std(), but one pass fewer: the sum of a row
+    is taken once for both."""
+    n = g.shape[-1]
+    mean = np.add.reduce(g, axis=-1) / n
+    dev = g - mean[..., None]
     np.square(dev, out=dev)
-    return float(mean), float(np.sqrt(np.add.reduce(dev) / g.size))
+    return mean, np.sqrt(np.add.reduce(dev, axis=-1) / n)
 
 
 def _resolve_latent_dim(config: ExperimentConfig, data: HsiBundle) -> int:
@@ -364,99 +366,180 @@ def train_once(
     run_id: int = 1,
     log_gradients: bool = True,
 ) -> tuple[nn.Network, RunRecord, GradientTrace]:
-    """Train one autoencoder and score it against the bundle's ground truth.
+    """Train one autoencoder and score it against the bundle's ground truth:
+    train_stack with one member."""
+    return train_stack(
+        config, data, [(init_seed, run_seed, init_id, run_id)], log_gradients
+    )[0]
+
+
+def train_stack(
+    config: ExperimentConfig,
+    data: HsiBundle,
+    members: Sequence[tuple[int, int, int, int]],
+    log_gradients: bool = True,
+) -> list[tuple[nn.Network, RunRecord, GradientTrace]]:
+    """Train one autoencoder per (init_seed, run_seed, init_id, run_id) of
+    members as one stacked model, and score each against the bundle's
+    ground truth; returns each member's (network, record, trace) in order.
 
     Weights depend on init_seed only; batch order and dropout noise depend on
     run_seed only. Mini-batches keep the last short batch, except that a
     single-pixel batch is skipped when the network holds batch normalization
-    (which needs batch statistics).
+    (which needs batch statistics). A member's network, record and trace do
+    not depend on the other members: they are the bits of a stack of one.
 
     A run fails on a zero-norm column in the SAD loss, a non-finite loss or
     gradient, a non-finite parameter after the last step, an endmember
     column whose norm is zero or overflows at scoring, or a non-finite
-    score. Each raises, and one handler here turns it into a diverged
-    record whose loss, scores and permutation are empty; the gradient trace
-    is kept up to the failing iteration.
+    score. A member that fails in training is frozen at that step while the
+    others go on; one handler here turns a failure of either phase into a
+    diverged record whose loss, scores and permutation are empty. The
+    gradient trace is kept up to the failing iteration, and the network
+    holds the member's state when it failed.
     """
     t0 = time.perf_counter()
     bundle = data
     if config.scale:
         bundle, _ = min_max_scale(data)
     latent = _resolve_latent_dim(config, bundle)
-    net = nn.build_network(
-        config.architecture, bundle.bands, latent,
-        n1=config.n1, gd_rate=config.gd_rate,
-    )
-    nn.initialize_network(net, config.init_scheme, init_seed)
-    init_checksum = net.parameter_checksum()
-    traced = _trainable_encoder_layers(net)
-    trace = GradientTrace([name for name, _ in traced])
-    diverged = False
-    try:
-        # numpy's overflow warnings are noise: a failing run raises below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            final_loss = _fit(
-                net, config, bundle.pixels, run_seed,
-                trace if log_gradients else None, traced,
+    nets = []
+    for init_seed, *_ in members:
+        net = nn.build_network(
+            config.architecture, bundle.bands, latent,
+            n1=config.n1, gd_rate=config.gd_rate,
+        )
+        nets.append(nn.initialize_network(net, config.init_scheme, init_seed))
+    checksums = [net.parameter_checksum() for net in nets]
+    traced = _trainable_encoder_layers(nets[0])
+    traces = [GradientTrace([name for name, _ in traced]) for _ in members]
+    # numpy's overflow warnings are noise: a failing run is caught below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        losses = _fit(
+            nets, config, bundle.pixels, [run_seed for _, run_seed, *_ in members],
+            traces if log_gradients else None, traced,
+        )
+        share = (time.perf_counter() - t0) / len(members)
+        out = []
+        for net, loss, trace, checksum, (init_seed, run_seed, init_id, run_id) in zip(
+            nets, losses, traces, checksums, members
+        ):
+            t_score = time.perf_counter()
+            diverged = loss is _FROZEN
+            if not diverged:
+                try:
+                    scores = _score(net, bundle)
+                except (DegenerateSpectrumError, nn.DivergenceError):
+                    diverged = True
+            if diverged:
+                loss, scores = None, dict.fromkeys(_SCORE_FIELDS)
+            record = RunRecord(
+                experiment_id=config.experiment_id,
+                init_id=init_id,
+                run_id=run_id,
+                init_seed=int(init_seed),
+                run_seed=int(run_seed),
+                init_checksum=checksum,
+                final_loss=loss,
+                **scores,
+                diverged=diverged,
+                wall_time=share + time.perf_counter() - t_score,
             )
-            scores = _score(net, bundle)
-    except (DegenerateSpectrumError, nn.DivergenceError):
-        diverged = True
-        final_loss, scores = None, dict.fromkeys(_SCORE_FIELDS)
-    record = RunRecord(
-        experiment_id=config.experiment_id,
-        init_id=init_id,
-        run_id=run_id,
-        init_seed=int(init_seed),
-        run_seed=int(run_seed),
-        init_checksum=init_checksum,
-        final_loss=final_loss,
-        **scores,
-        diverged=diverged,
-        wall_time=time.perf_counter() - t0,
-    )
-    return net, record, trace
+            out.append((net, record, trace))
+    return out
 
 
-def _fit(net, config, x, run_seed, trace, traced) -> float | None:
-    """Train net in place on the columns of x; returns the last step's loss.
+# the loss _fit returns for a member that failed in training
+_FROZEN = object()
 
-    A failure raises: DegenerateSpectrumError from the SAD loss, or
-    DivergenceError for a non-finite loss, gradient or final parameter.
+
+def _fit(nets, config, x, run_seeds, traces, traced) -> list:
+    """Train the one-member networks nets as one stack on the columns of x,
+    member r from run_seeds[r] and logging into traces[r]; returns each
+    member's last loss, or _FROZEN for a member that failed: a NaN loss
+    (the SAD loss's zero-norm column, or a non-finite loss), a non-finite
+    gradient, or a non-finite parameter after the last step. A failing
+    member leaves the stack at that step, and its net holds its state then;
+    the others' nets get their trained state at the end.
     """
     # Batches come from a pixel-major copy: the row gather xt[idx] is about
     # ten times cheaper than the column gather x[:, idx] at B=156, and its
-    # transpose is the F-ordered (bands x batch) array x[:, idx] returns, so
-    # every matmul sees the same operand layout and rounds the same.
+    # transposed slices are the F-ordered (bands x batch) arrays x[:, idx]
+    # returns, so every matmul sees the same operand layout and rounds the
+    # same.
     xt = np.ascontiguousarray(x.T)
+    stack = nn.stack_networks(nets)
     state = nn.AdamState(learning_rate=config.learning_rate)
     loss_fn = _LOSSES[config.loss]
-    has_bn = any(layer.kind == "batch_norm" for layer in net.encoder)
-    rng_run = np.random.default_rng(run_seed)
-    m = x.shape[1]
+    has_bn = any(layer.kind == "batch_norm" for layer in stack.encoder)
+    m, bs = x.shape[1], config.batch_size
+    starts = [s for s in range(0, m, bs) if not (has_bn and min(s + bs, m) - s == 1)]
+    rngs = [np.random.default_rng(seed) for seed in run_seeds]
+    live = list(range(len(nets)))  # the member each stack position trains
+    losses: list = [None] * len(nets)
+    gathered: dict = {}  # the batch array of each stack shape, overwritten per step
+
+    def freeze(positions) -> None:
+        nonlocal live, orders, seeds
+        for p in positions:
+            nn.unstack_member(stack, p, nets[live[p]])
+            losses[live[p]] = _FROZEN
+        keep = [p for p in range(len(live)) if p not in positions]
+        live = [live[p] for p in keep]
+        gathered.clear()
+        if live:
+            stack.keep_members(keep)
+            if state.m is not None:
+                state.m, state.v = state.m[keep], state.v[keep]
+            rngs[:] = [rngs[p] for p in keep]
+            orders, seeds = orders[keep], seeds[keep]
+
     iteration = 0
-    value = None
     for _ in range(config.epochs):
-        order = rng_run.permutation(m)
-        for start in range(0, m, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if idx.size == 1 and has_bn:
-                continue
-            xb = xt[idx].T
-            dropout_seed = int(rng_run.integers(0, 2**63))
+        # each member's stream: its epoch's permutation, then one dropout
+        # seed per step, drawn at once as the steps would draw them
+        orders = np.stack([rng.permutation(m) for rng in rngs])
+        seeds = np.stack([rng.integers(0, 2**63, size=len(starts)) for rng in rngs])
+        for step, start in enumerate(starts):
+            idx = orders[:, start : start + bs]
+            out = gathered.get(idx.shape)
+            if out is None:
+                out = gathered[idx.shape] = np.empty(idx.shape + xt.shape[1:])
+            # xt[idx] without a new array; every index is in range, and
+            # mode="clip" spares take the copy it makes under "raise"
+            xb = np.take(xt, idx, axis=0, out=out, mode="clip").mT
             iteration += 1
-            recon, _, cache = nn.forward(net, xb, mode=nn.TRAIN, seed=dropout_seed)
-            value, loss_grad = loss_fn(xb, recon)
-            if not math.isfinite(value):
-                raise nn.DivergenceError(f"non-finite loss at iteration {iteration}")
-            nn.backward(net, cache, loss_grad)
-            if trace is not None and trace.should_log(iteration):
-                stats = [_mean_std(net.flat_grads[sl]) for _, sl in traced]
-                trace.log(iteration, [s[0] for s in stats], [s[1] for s in stats])
-            nn.apply_gradients(net, state)
-    if not np.isfinite(net.flat_params).all():
-        raise nn.DivergenceError("non-finite parameter after the last step")
-    return value
+            recon, _, cache = nn.forward(
+                stack, xb, mode=nn.TRAIN, seed=seeds[:, step].tolist()
+            )
+            values, loss_grad = loss_fn(xb, recon)
+            lost = np.flatnonzero(~np.isfinite(values)).tolist()
+            nn.backward(stack, cache, loss_grad)
+            del loss_grad  # not alive beside the next step's
+            if traces is not None and GradientTrace.should_log(iteration):
+                stats = [_mean_std(stack.flat_grads[:, sl]) for _, sl in traced]
+                for p, r in enumerate(live):
+                    if p not in lost:
+                        traces[r].log(iteration, [mean[p] for mean, _ in stats],
+                                      [std[p] for _, std in stats])
+            for p, r in enumerate(live):
+                losses[r] = float(values[p])
+            if lost:
+                freeze(lost)
+                if not live:
+                    return losses
+            try:
+                nn.apply_gradients(stack, state)
+            except nn.DivergenceError as exc:
+                freeze(exc.members)
+                if not live:
+                    return losses
+                nn.apply_gradients(stack, state)
+    for p, r in enumerate(live):
+        nn.unstack_member(stack, p, nets[r])
+        if not np.isfinite(nets[r].flat_params).all():
+            losses[r] = _FROZEN
+    return losses
 
 
 _SCORE_FIELDS = (
@@ -492,16 +575,34 @@ def grid_seeds(master_seed: int, init_id: int, run_id: int) -> tuple[int, int]:
     return mix64(master_seed, init_id), mix64(master_seed, init_id, run_id)
 
 
-def _train_cell(config: ExperimentConfig, data: HsiBundle, cell: tuple[int, int]):
-    i, j = cell
-    init_seed, run_seed = grid_seeds(config.master_seed, i, j)
-    _, record, trace = train_once(
-        config, data, init_seed, run_seed, init_id=i, run_id=j
-    )
-    return record, trace
+# the most cells trained as one stack: past it, a stack step's arrays grow
+# while its fixed per-step cost is already shared
+STACK_CAP = 8
 
 
-# set in pool workers only, once each, so a task pickles just its cell
+def _stacks(cells: list, workers: int) -> list[list]:
+    """cells, in order, cut into contiguous stacks of at most STACK_CAP
+    cells and no fewer stacks than workers, their sizes within one of
+    each other."""
+    count = max(-(-len(cells) // STACK_CAP), workers)
+    size, extra = divmod(len(cells), count)
+    out, start = [], 0
+    for k in range(count):
+        stop = start + size + (k < extra)
+        out.append(cells[start:stop])
+        start = stop
+    return out
+
+
+def _train_cells(config: ExperimentConfig, data: HsiBundle, cells: list):
+    """Each cell's (record, trace), the cells trained as one stack."""
+    members = [(*grid_seeds(config.master_seed, i, j), i, j) for i, j in cells]
+    return [
+        (record, trace) for _, record, trace in train_stack(config, data, members)
+    ]
+
+
+# set in pool workers only, once each, so a task pickles just its cells
 _WORKER_STATE: dict = {}
 
 
@@ -509,20 +610,23 @@ def _worker_init(config: ExperimentConfig, data: HsiBundle) -> None:
     _WORKER_STATE["args"] = (config, data)
 
 
-def _worker_cell(cell: tuple[int, int]):
-    return _train_cell(*_WORKER_STATE["args"], cell)
+def _worker_cells(cells: list):
+    return _train_cells(*_WORKER_STATE["args"], cells)
 
 
 def _cell_results(config, data, cells, workers: int):
-    """Each cell's (record, trace), in the order of cells, as it arrives."""
+    """Each cell's (record, trace), in the order of cells, as its stack
+    finishes."""
+    stacks = _stacks(cells, workers)
     if workers == 1:
-        for cell in cells:
-            yield _train_cell(config, data, cell)
+        for stack in stacks:
+            yield from _train_cells(config, data, stack)
         return
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(config, data)
     ) as pool:
-        yield from pool.map(_worker_cell, cells)
+        for results in pool.map(_worker_cells, stacks):
+            yield from results
 
 
 def run_experiment(
@@ -534,11 +638,14 @@ def run_experiment(
     """Run the full N x k grid; output order is (init_id, run_id) regardless
     of scheduling.
 
-    jobs must be >= 1; cells run on min(jobs, cells, CPU count) processes,
-    in this one when that is 1. With out_dir set, each cell's gradient trace
-    is written as CSV when its result arrives, records gain their trace_file
-    reference, and records.jsonl is written at the end. Divergence in a cell
-    is contained in that cell's record.
+    jobs must be >= 1; the grid runs on min(jobs, cells, CPU count)
+    processes, in this one when that is 1. The cells, in order, are cut
+    into stacks (see _stacks), each trained as one stacked model by one
+    process; no record or trace depends on the cut. With out_dir set, each
+    cell's gradient trace is written as CSV when its stack's results
+    arrive, records gain their trace_file reference, and records.jsonl is
+    written at the end. Divergence in a cell is contained in that cell's
+    record.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")

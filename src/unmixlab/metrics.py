@@ -29,17 +29,30 @@ class DegenerateSpectrumError(ValueError):
     """A spectrum with zero norm has no direction, so no spectral angle."""
 
 
+def _loss_value(values: np.ndarray, x: np.ndarray):
+    """The loss of a (bands x batch) x as a float; the array of each
+    member's loss for a (members x bands x batch) stack."""
+    return float(values.flat[0]) if x.ndim == 2 else values
+
+
 def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
-    """Mean squared error over all entries and its gradient wrt x_hat."""
+    """Mean squared error over all entries and its gradient wrt x_hat.
+
+    On a stack of (members x bands x batch) arrays the value is the array
+    of each member's loss, each with the bits of the 2-D call.
+    """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     diff = x_hat - x
-    value = float(np.mean(diff * diff))
-    # the gradient 2.0 * diff / diff.size, formed in diff's own memory
+    # each member's squares on their own, so the temporary is one member's
+    value = _loss_value(
+        np.array([np.mean(d * d) for d in diff.reshape(-1, *diff.shape[-2:])]), x
+    )
+    # the gradient 2.0 * diff / (bands * batch), formed in diff's own memory
     diff *= 2.0
-    diff /= diff.size
+    diff /= diff.shape[-2] * diff.shape[-1]
     return value, diff
 
 
@@ -48,30 +61,36 @@ def sad_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
 
     The cosine is clamped to +/-(1 - 1e-7) before arccos; the gradient is
     zero for columns in the clamped region. Columns of zero norm are
-    rejected because their angle is undefined.
+    rejected because their angle is undefined: a 2-D call raises, and on a
+    stack of (members x bands x batch) arrays, whose value is the array of
+    each member's loss, a member with such a column gets a NaN loss.
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    nx = np.linalg.norm(x, axis=0)
-    nh = np.linalg.norm(x_hat, axis=0)
-    if np.any(nx == 0) or np.any(nh == 0):
+    nx = np.linalg.norm(x, axis=-2)
+    nh = np.linalg.norm(x_hat, axis=-2)
+    degenerate = ((nx == 0) | (nh == 0)).any(axis=-1)
+    if x.ndim == 2 and degenerate:
         raise DegenerateSpectrumError("zero-norm column in spectral angle loss")
-    dots = np.einsum("ij,ij->j", x, x_hat)
+    dots = np.einsum("...ij,...ij->...j", x, x_hat)
     cos = dots / (nx * nh)
     clamped = np.abs(cos) >= COS_CLAMP
     cos_c = np.clip(cos, -COS_CLAMP, COS_CLAMP)
     angles = np.arccos(cos_c)
-    n_cols = x.shape[1]
-    value = float(np.mean(angles))
+    n_cols = x.shape[-1]
+    value = _loss_value(np.mean(angles, axis=-1), x)
+    if x.ndim == 3:
+        value[degenerate] = np.nan
 
     # d angle / d cos = -1 / sqrt(1 - cos^2); d cos / d x_hat per column:
-    # x / (|x||x_hat|) - cos * x_hat / |x_hat|^2.
+    # x / (|x||x_hat|) - cos * x_hat / |x_hat|^2. A trailing [..., None, :]
+    # puts a per-column factor against every band of its column.
     dacos = -1.0 / np.sqrt(1.0 - cos_c * cos_c)
-    dcos = x / (nx * nh) - cos * x_hat / (nh * nh)
-    grad = (dacos / n_cols) * dcos
-    grad[:, clamped] = 0.0
+    dcos = x / (nx * nh)[..., None, :] - cos[..., None, :] * x_hat / (nh * nh)[..., None, :]
+    grad = (dacos / n_cols)[..., None, :] * dcos
+    np.copyto(grad, 0.0, where=clamped[..., None, :])
     return value, grad
 
 

@@ -10,6 +10,13 @@ All math is float64. Every layer implements an explicit backward rule, and
 gradients are validated against central finite differences in the test
 suite.
 
+Every layer also takes a stack: a (members x features x batch) input, with
+parameters that carry the same leading member axis. The layers reduce over
+the last two axes only and matmul per member, so member r of a stack gets
+the bits that a one-member network of member r's parameters gets from the
+same (features x batch) input: a 2-D call is the one-member case of the
+same code.
+
 A layer's forward(x, mode, rng, slot) keeps in its slot, a plain dict,
 both what backward(dy, slot) reads and every array it wrote as an `out=`.
 An array found in the slot from an earlier call is written over, so the
@@ -59,7 +66,15 @@ class CacheError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite values appeared in gradients or the optimizer update."""
+    """Non-finite values appeared in gradients or the optimizer update.
+
+    members lists the stack positions at fault; it is None for a
+    one-member network.
+    """
+
+    def __init__(self, message: str, members: list[int] | None = None):
+        super().__init__(message)
+        self.members = members
 
 
 def normalize_init_scheme(name: str) -> str:
@@ -180,17 +195,17 @@ class Linear:
         slot["x"] = x
         y = slot["y"] = np.matmul(self.weight, x, out=slot.get("y"))
         if self.has_bias:
-            y += self.bias[:, None]
+            y += self.bias[..., None]
         return y
 
     def backward(self, dy, slot):
-        np.matmul(dy, slot["x"].T, out=self.grads["weight"])
+        np.matmul(dy, slot["x"].mT, out=self.grads["weight"])
         if self.has_bias:
-            np.sum(dy, axis=1, out=self.grads["bias"])
+            np.sum(dy, axis=-1, out=self.grads["bias"])
         if slot.get("skip_dx"):
             # nothing reads the gradient of the batch itself
             return None
-        dx = slot["dx"] = np.matmul(self.weight.T, dy, out=slot.get("dx"))
+        dx = slot["dx"] = np.matmul(self.weight.mT, dy, out=slot.get("dx"))
         return dx
 
 
@@ -259,11 +274,11 @@ class BatchNorm:
 
     def forward(self, x, mode, rng, slot):
         if mode == TRAIN:
-            m = x.shape[1]
+            m = x.shape[-1]
             if m < 2:
                 raise ValueError("train-mode batch norm requires batch size >= 2")
-            mean = x.mean(axis=1)
-            var = x.var(axis=1)
+            mean = x.mean(axis=-1)
+            var = x.var(axis=-1)
             self.running_mean *= 1.0 - BN_MOMENTUM
             self.running_mean += BN_MOMENTUM * mean
             self.running_var *= 1.0 - BN_MOMENTUM
@@ -272,25 +287,25 @@ class BatchNorm:
             mean = self.running_mean
             var = self.running_var
         inv = slot["inv"] = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = slot["x_hat"] = np.subtract(x, mean[:, None], out=slot.get("x_hat"))
-        x_hat *= inv[:, None]
-        y = slot["y"] = np.multiply(self.gamma[:, None], x_hat, out=slot.get("y"))
-        y += self.beta[:, None]
+        x_hat = slot["x_hat"] = np.subtract(x, mean[..., None], out=slot.get("x_hat"))
+        x_hat *= inv[..., None]
+        y = slot["y"] = np.multiply(self.gamma[..., None], x_hat, out=slot.get("y"))
+        y += self.beta[..., None]
         return y
 
     def backward(self, dy, slot):
         x_hat = slot["x_hat"]
         inv = slot["inv"]
-        m = dy.shape[1]
-        np.sum(dy * x_hat, axis=1, out=self.grads["gamma"])
-        np.sum(dy, axis=1, out=self.grads["beta"])
-        dxh = dy * self.gamma[:, None]
+        m = dy.shape[-1]
+        np.sum(dy * x_hat, axis=-1, out=self.grads["gamma"])
+        np.sum(dy, axis=-1, out=self.grads["beta"])
+        dxh = dy * self.gamma[..., None]
         inner = (
             m * dxh
-            - dxh.sum(axis=1, keepdims=True)
-            - x_hat * (dxh * x_hat).sum(axis=1, keepdims=True)
+            - dxh.sum(axis=-1, keepdims=True)
+            - x_hat * (dxh * x_hat).sum(axis=-1, keepdims=True)
         )
-        dx = slot["dx"] = np.multiply(inv[:, None] / m, inner, out=slot.get("dx"))
+        dx = slot["dx"] = np.multiply(inv[..., None] / m, inner, out=slot.get("dx"))
         return dx
 
 
@@ -324,14 +339,14 @@ class SoftThreshold:
         return width
 
     def forward(self, x, mode, rng, slot):
-        z = slot["z"] = np.subtract(x, self.alpha[:, None], out=slot.get("z"))
+        z = slot["z"] = np.subtract(x, self.alpha[..., None], out=slot.get("z"))
         mask = slot["mask"] = np.greater(z, 0, out=slot.get("mask"))
         y = slot["y"] = _where_into(slot.get("y"), mask, z)
         return y
 
     def backward(self, dy, slot):
         dz = slot["dx"] = np.multiply(dy, slot["mask"], out=slot.get("dx"))
-        alpha = np.sum(dz, axis=1, out=self.grads["alpha"])
+        alpha = np.sum(dz, axis=-1, out=self.grads["alpha"])
         np.negative(alpha, out=alpha)
         return dz
 
@@ -350,18 +365,18 @@ class SumToOne(_Parameterless):
     kind = "sum_to_one"
 
     def forward(self, x, mode, rng, slot):
-        s_raw = x.sum(axis=0, keepdims=True)
+        s_raw = x.sum(axis=-2, keepdims=True)
         dead = slot["dead"] = (s_raw == 0.0)
         s = slot["s"] = s_raw + SUM_TO_ONE_GUARD
         y = slot["y"] = np.divide(x, s, out=slot.get("y"))
         if dead.any():
-            np.copyto(y, 1.0 / x.shape[0], where=dead)
+            np.copyto(y, 1.0 / x.shape[-2], where=dead)
         return y
 
     def backward(self, dy, slot):
         y = slot["y"]
         dx = slot["dx"] = np.subtract(
-            dy, (dy * y).sum(axis=0, keepdims=True), out=slot.get("dx")
+            dy, (dy * y).sum(axis=-2, keepdims=True), out=slot.get("dx")
         )
         dx /= slot["s"]
         dead = slot["dead"]
@@ -375,6 +390,8 @@ class GaussianDropout(_Parameterless):
 
     rate r in [0, 1) maps to noise variance r / (1 - r); r = 0 is the
     identity. Backward reuses the exact noise realization from forward.
+    A stacked (members x features x batch) input takes one generator per
+    member, so each member draws its noise from its own stream.
     """
 
     kind = "gaussian_dropout"
@@ -393,7 +410,11 @@ class GaussianDropout(_Parameterless):
             return x
         sigma = np.sqrt(self.rate / (1.0 - self.rate))
         # 1.0 + sigma * z, with the draw made into the slot's array
-        noise = slot["noise"] = rng.standard_normal(x.shape, out=slot.get("noise"))
+        noise = slot.get("noise")
+        if noise is None:
+            noise = slot["noise"] = np.empty(x.shape)
+        for gen, rows in ((rng, noise),) if x.ndim == 2 else zip(rng, noise):
+            gen.standard_normal(rows.shape, out=rows)
         noise *= sigma
         noise += 1.0
         y = slot["y"] = np.multiply(x, noise, out=slot.get("y"))
@@ -438,13 +459,22 @@ class Network:
     vector operations. param_slices maps each parameter name to its slice
     of both vectors, and named_grads maps it to its gradient view.
 
+    A network built with members=R is a stack of R networks of this
+    architecture: flat_params and flat_grads are R x P, every parameter,
+    gradient and buffer gains a leading member axis (a weight is R x out x
+    in), and forward takes an R x features x batch batch. Member r's
+    arrays are row r of each, and every layer computes each member from
+    that member's rows alone, as a one-member network (members=None, the
+    default, with no member axis) computes it.
+
     The network also keeps the train slots of forward, one list per batch
     shape and layout, and a version that every train forward, Adam step and
     initialization bumps: a cache of an older version is stale.
     """
 
     def __init__(self, encoder, decoder: Linear, input_dim: int, latent_dim: int,
-                 arch: str = "custom", meta: dict | None = None):
+                 arch: str = "custom", meta: dict | None = None,
+                 members: int | None = None):
         width = input_dim
         sum_to_one_index = None
         for i, layer in enumerate(encoder):
@@ -462,6 +492,8 @@ class Network:
         decoder.out_width(latent_dim)
         if decoder.out_features != input_dim:
             raise ValueError("decoder must map back to the input width")
+        if members is not None and members < 1:
+            raise ValueError(f"a stack needs at least one member, not {members}")
         self.encoder = list(encoder)
         self.decoder = decoder
         self.input_dim = input_dim
@@ -469,8 +501,15 @@ class Network:
         self.arch = arch
         self.meta = dict(meta or {})
         self.sum_to_one_index = sum_to_one_index
+        self.members = members
         self._version = 0
         self._slots: dict[tuple, list[dict]] = {}
+        # one member's shape of every parameter and buffer, as the layers
+        # were built
+        self._shapes = {
+            name: arr.shape
+            for name, *_, arr in self._entries("params") + self._entries("buffers")
+        }
         self._bind_arena()
 
     def _owners(self):
@@ -478,29 +517,59 @@ class Network:
             ("dec", self.decoder)
         ]
 
-    def _bind_arena(self) -> None:
-        """Move every parameter into flat_params and point the layers'
-        parameters and grads at views of it and of flat_grads."""
-        entries = [
+    def _entries(self, kind: str):
+        """(name, layer, key, array) per parameter or buffer, in arena order."""
+        return [
             (f"{prefix}.{key}", layer, key, arr)
             for prefix, layer in self._owners()
-            for key, arr in layer.params.items()
+            for key, arr in getattr(layer, kind, {}).items()
         ]
-        size = sum(arr.size for *_, arr in entries)
-        self.flat_params = np.empty(size)
-        self.flat_grads = np.zeros(size)
+
+    def _bind_arena(self) -> None:
+        """Move every parameter into flat_params and point the layers'
+        parameters and grads at views of it and of flat_grads; give every
+        buffer the member axis. A layer's array of one member's shape
+        seeds every member."""
+        lead = () if self.members is None else (self.members,)
+        entries = [
+            (name, layer, key, arr, self._shapes[name])
+            for name, layer, key, arr in self._entries("params")
+        ]
+        size = sum(math.prod(shape) for *_, shape in entries)
+        self.flat_params = np.empty(lead + (size,))
+        self.flat_grads = np.zeros(lead + (size,))
         self.param_slices: dict[str, slice] = {}
         self.named_grads: dict[str, NDArrayF] = {}
         start = 0
-        for name, layer, key, arr in entries:
-            sl = slice(start, start + arr.size)
-            param = self.flat_params[sl].reshape(arr.shape)
+        for name, layer, key, arr, shape in entries:
+            sl = slice(start, start + math.prod(shape))
+            param = np.reshape(self.flat_params[..., sl], lead + shape, copy=False)
             param[...] = arr
             setattr(layer, key, param)
-            grad = layer.grads[key] = self.flat_grads[sl].reshape(arr.shape)
-            self.named_grads[name] = grad
+            grad = np.reshape(self.flat_grads[..., sl], lead + shape, copy=False)
+            self.named_grads[name] = layer.grads[key] = grad
             self.param_slices[name] = sl
             start = sl.stop
+        for name, layer, key, arr in self._entries("buffers"):
+            buf = np.empty(lead + self._shapes[name])
+            buf[...] = arr
+            setattr(layer, key, buf)
+
+    def keep_members(self, keep) -> None:
+        """Drop every member of the stack but those at the positions in
+        keep, which then become members 0, 1, ... in keep's order; their
+        parameters, gradients and buffers are kept bit for bit."""
+        if self.members is None:
+            raise ValueError("a one-member network has no member axis")
+        keep = list(keep)
+        grads = self.flat_grads[keep]
+        for _, layer, key, arr in self._entries("params") + self._entries("buffers"):
+            setattr(layer, key, arr[keep])
+        self.members = len(keep)
+        self._bind_arena()
+        self.flat_grads[...] = grads
+        self._slots.clear()
+        self._version += 1
 
     def _claim_slots(self, x: np.ndarray) -> list[dict]:
         """The train slots for a batch of x's shape and layout, made on
@@ -523,18 +592,10 @@ class Network:
         self._bind_arena()
 
     def named_parameters(self) -> dict[str, NDArrayF]:
-        return {
-            f"{prefix}.{key}": arr
-            for prefix, layer in self._owners()
-            for key, arr in layer.params.items()
-        }
+        return {name: arr for name, *_, arr in self._entries("params")}
 
     def named_buffers(self) -> dict[str, NDArrayF]:
-        out = {}
-        for i, layer in enumerate(self.encoder):
-            for key, arr in getattr(layer, "buffers", {}).items():
-                out[f"enc{i}.{key}"] = arr
-        return out
+        return {name: arr for name, *_, arr in self._entries("buffers")}
 
     def parameter_checksum(self) -> str:
         params = self.named_parameters()
@@ -587,6 +648,42 @@ def build_network(
         raise ValueError(f"unknown architecture {arch!r}; expected original or basic")
     decoder = Linear(e, n_bands, bias=False)
     return Network(encoder, decoder, input_dim=n_bands, latent_dim=e, arch=arch)
+
+
+def stack_networks(nets) -> Network:
+    """A stack of the one-member networks nets, in their order: member r
+    starts with the parameters and buffers of nets[r]. All must share one
+    architecture."""
+    first = nets[0]
+    specs = [layer.spec() for layer in first.encoder + [first.decoder]]
+    for net in nets:
+        if net.members is not None:
+            raise ValueError("only one-member networks can be stacked")
+        if (net.input_dim, [l.spec() for l in net.encoder + [net.decoder]]) != (
+            first.input_dim, specs
+        ):
+            raise ValueError("stacked networks must share one architecture")
+    stack = Network(
+        [layer_from_spec(spec) for spec in specs[:-1]], layer_from_spec(specs[-1]),
+        input_dim=first.input_dim, latent_dim=first.latent_dim, arch=first.arch,
+        members=len(nets),
+    )
+    buffers = stack.named_buffers()
+    for r, net in enumerate(nets):
+        stack.flat_params[r] = net.flat_params
+        for name, buf in net.named_buffers().items():
+            buffers[name][r] = buf
+    return stack
+
+
+def unstack_member(stack: Network, r: int, net: Network) -> None:
+    """Write member r of stack, its parameters and buffers, into the
+    one-member network net of the same architecture."""
+    net.flat_params[...] = stack.flat_params[r]
+    buffers = stack.named_buffers()
+    for name, buf in net.named_buffers().items():
+        buf[...] = buffers[name][r]
+    net._version += 1
 
 
 def initialize_network(net: Network, scheme: str, seed: int) -> Network:
@@ -650,13 +747,15 @@ class ForwardCache:
 
 
 def forward(
-    net: Network, batch: np.ndarray, mode: str = EVAL, seed: int = 0,
+    net: Network, batch: np.ndarray, mode: str = EVAL, seed=0,
 ) -> tuple[NDArrayF, NDArrayF, ForwardCache]:
-    """Run the autoencoder on a (bands x batch) matrix.
+    """Run the autoencoder on a (bands x batch) matrix, or a stack on a
+    (members x bands x batch) array.
 
     Returns (reconstruction, abundances, cache). Abundances are the
     sum-to-one layer output, before any dropout. Dropout noise is drawn
-    from the given seed and is active in train mode only. A batch with a
+    from the given seed (for a stack, a sequence of one seed per member, or
+    one seed for all) and is active in train mode only. A batch with a
     non-finite entry raises ValueError.
 
     A train forward runs in net's train slots for the batch's shape and
@@ -669,11 +768,12 @@ def forward(
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be {TRAIN!r} or {EVAL!r}")
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != net.input_dim:
+    rows = (net.input_dim,) if net.members is None else (net.members, net.input_dim)
+    if x.shape[:-1] != rows:
         raise ValueError(
-            f"batch must be ({net.input_dim} x b_s), got {x.shape}"
+            f"batch must be ({' x '.join(map(str, rows))} x b_s), got {x.shape}"
         )
-    if x.shape[1] < 1:
+    if x.shape[-1] < 1:
         raise ValueError("batch must hold at least one column")
     if not np.isfinite(x).all():
         raise ValueError("non-finite batch input")
@@ -687,7 +787,10 @@ def forward(
         # running layer reads and writes
         net._slots.clear()
         slots = None
-    rng = _LazyRng(seed)
+    if net.members is None:
+        rng = _LazyRng(seed)
+    else:
+        rng = [_LazyRng(s) for s in (seed if np.ndim(seed) else [seed] * net.members)]
     abundances = None
     for i, layer in enumerate(net.encoder):
         x = layer.forward(x, mode, rng, {} if slots is None else slots[i])
@@ -734,8 +837,9 @@ def backward(
 class AdamState:
     """Adam hyperparameters, step counter and moments.
 
-    m and v are flat float64 vectors in the layout of net.flat_params,
-    created on the first step.
+    m and v are flat float64 vectors in the layout of net.flat_params
+    (R x P for a stack of R), created on the first step. The step counter
+    is shared: the members of a stack step together.
     """
 
     learning_rate: float = 1e-3
@@ -760,16 +864,22 @@ def apply_gradients(net: Network, state: AdamState) -> None:
     the last backward left it (invalidates caches).
 
     The update is bias-corrected Adam, run once over the flat parameter
-    vector; tests/nn_oracles.py holds the per-parameter form that it
-    matches bit for bit. Non-finite gradients raise DivergenceError, naming
-    the first bad parameter in arena order, before any state is touched.
+    vector, or the R x P stack of them; tests/nn_oracles.py holds the
+    per-parameter form that it matches bit for bit. Non-finite gradients
+    raise DivergenceError, naming the first bad parameter in arena order
+    (and, for a stack, every member that has one), before any state is
+    touched.
     """
     g = net.flat_grads
-    if not np.isfinite(g).all():
-        bad = next(n for n, sl in net.param_slices.items() if not np.isfinite(g[sl]).all())
-        raise DivergenceError(f"non-finite gradient in {bad}")
+    finite = np.isfinite(g).all(axis=-1)
+    if not finite.all():
+        members = None if net.members is None else np.flatnonzero(~finite).tolist()
+        row = g if members is None else g[members[0]]
+        bad = next(n for n, sl in net.param_slices.items() if not np.isfinite(row[sl]).all())
+        where = "" if members is None else f" of stack members {members}"
+        raise DivergenceError(f"non-finite gradient in {bad}{where}", members)
     if state.m is None:
-        state.m, state.v = np.zeros(g.size), np.zeros(g.size)
+        state.m, state.v = np.zeros(g.shape), np.zeros(g.shape)
     m, v, p = state.m, state.v, net.flat_params
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -799,8 +909,11 @@ def save_checkpoint(net: Network, path) -> None:
 
     The payload is the concatenation of all parameters then all buffers in
     header order, little-endian float64, with a sha256 checksum recorded in
-    the header. Round-trips are bit-exact.
+    the header. Round-trips are bit-exact. A stack has no checkpoint;
+    write each member into a one-member network with unstack_member.
     """
+    if net.members is not None:
+        raise ValueError("a stacked network cannot be checkpointed")
     params = net.named_parameters()
     buffers = net.named_buffers()
     names_p = list(params)

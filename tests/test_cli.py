@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,39 @@ class TestAnalyze:
         assert f"kw_h: {h!r}" in lines and f"kw_p: {p!r}" in lines
 
 
+class TestUnscoredMetric:
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--out", "{out}"],
+        ["plan", "--threshold", "0.1"],
+        ["report", "--out", "{out}"],
+    ])
+    def test_a_metric_no_record_scores_is_named(self, tmp_path, capsys, command):
+        """Records without ground truth score no endmember_sad; that is a
+        data error naming the metric, not a divergence."""
+        path = fixture_records(tmp_path / "records.jsonl", [[1, 2, 3], [4, 5, 6]])
+        argv = [arg.format(out=tmp_path / "out") for arg in command]
+        rc = main(argv + ["--records", str(path), "--metric", "endmember_sad"])
+        assert rc == EXIT_DATA
+        message = json.loads(capsys.readouterr().err.removeprefix("error "))["message"]
+        assert "no record" in message and "scores endmember_sad" in message
+        assert "diverged" not in message.replace("did not diverge", "")
+        assert not (tmp_path / "out").exists()
+
+    def test_all_diverged_runs_are_still_reported_as_divergence(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        records = [
+            RunRecord(experiment_id="fx", init_id=1, run_id=j, init_seed=1, run_seed=j,
+                      init_checksum="c", final_loss=None, recon_rmse=None,
+                      recon_sad=None, abundance_rmse=None, endmember_sad=None,
+                      permutation=None, diverged=True)
+            for j in (1, 2)
+        ]
+        write_records(path, records, ExperimentConfig(n_inits=1, runs_per_init=2))
+        rc = main(["report", "--records", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert "all runs diverged" in capsys.readouterr().err
+
+
 class TestPlan:
     def test_direct_p_hat(self, capsys):
         assert main(["plan", "--p-hat", "0.5", "--confidence", "0.95"]) == EXIT_OK
@@ -494,6 +531,41 @@ class TestReport:
         rows = (out / "trials.csv").read_text().splitlines()[1:]
         thresholds = [float(r.split(",")[0]) for r in rows]
         assert thresholds == [0.05, 0.075, 0.1]
+
+
+class TestHistogramBins:
+    @pytest.mark.parametrize("scores", [
+        # tight ties beside one outlier: the rule alone asks for 12,500,000
+        # bins, and 4.3e17 for the second
+        [0.1] * 300 + [0.1 + 1e-7] * 400 + [0.1 + 2e-7] * 299 + [0.6],
+        [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 1.0 + 3e-12, 1e6],
+    ])
+    def test_automatic_bins_are_at_most_one_per_score(self, tmp_path, scores):
+        path = fixture_records(tmp_path / "records.jsonl", [scores])
+        assert main(["report", "--records", str(path), "--out",
+                     str(tmp_path / "out")]) == EXIT_OK
+        rows = (tmp_path / "out" / "histogram.csv").read_text().splitlines()
+        assert len(rows) - 1 == len(scores)
+
+    def test_explicit_bins_are_kept(self, tmp_path):
+        path = fixture_records(tmp_path / "records.jsonl", [[1.0, 2.0, 3.0]])
+        assert main(["report", "--records", str(path), "--out",
+                     str(tmp_path / "out"), "--bins", "7"]) == EXIT_OK
+        rows = (tmp_path / "out" / "histogram.csv").read_text().splitlines()
+        assert len(rows) - 1 == 7
+
+
+class TestModuleEntry:
+    def test_python_m_unmixlab_prints_the_usage(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        done = subprocess.run([sys.executable, "-m", "unmixlab", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("usage: unmixlab")
+        assert "experiment" in done.stdout
 
 
 class TestUsage:

@@ -250,6 +250,17 @@ class TestGrid:
         assert len(traces) == 4
         for name in traces:
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+        # serially the grid is one stack of four cells, on two workers two
+        # stacks of two; a stack of one gives the same bytes again
+        config = tiny_config(epochs=3)
+        for record in serial:
+            seeds = grid_seeds(config.master_seed, record.init_id, record.run_id)
+            _, alone, trace = train_once(config, data, *seeds, record.init_id, record.run_id)
+            assert replace(alone, trace_file=record.trace_file).to_json() == record.to_json()
+            trace.to_csv(tmp_path / "alone.csv")
+            assert (tmp_path / "alone.csv").read_bytes() == (
+                tmp_path / "s" / record.trace_file
+            ).read_bytes()
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -5):
@@ -292,21 +303,27 @@ class TestGrid:
         gc.collect()
         assert alive() is None
 
-    def test_each_trace_is_written_before_the_next_cell_trains(
+    def test_each_stacks_traces_are_written_before_the_next_stack_trains(
         self, tmp_path, monkeypatch
     ):
         written_before = {}
+        real = harness.train_stack
 
-        def spy(config, data, init_seed, run_seed, init_id, run_id):
-            written_before[init_id, run_id] = sorted(
-                p.name for p in tmp_path.glob("trace_*.csv")
-            )
-            return train_once(config, data, init_seed, run_seed, init_id, run_id)
+        def spy(config, data, members, log_gradients=True):
+            cells = tuple((i, j) for *_, i, j in members)
+            written_before[cells] = sorted(p.name for p in tmp_path.glob("trace_*.csv"))
+            return real(config, data, members, log_gradients)
 
-        monkeypatch.setattr(harness, "train_once", spy)
-        run_experiment(tiny_config(epochs=1), tiny_scene(), out_dir=tmp_path)
-        assert written_before[1, 2] == ["trace_i001_j001.csv"]
-        assert len(written_before[2, 2]) == 3
+        monkeypatch.setattr(harness, "train_stack", spy)
+        # nine cells make two stacks, of five and four cells
+        run_experiment(tiny_config(epochs=1, n_inits=3, runs_per_init=3), tiny_scene(),
+                       out_dir=tmp_path)
+        first, second = written_before
+        assert first == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))
+        assert written_before[first] == []
+        assert written_before[second] == [
+            f"trace_i{i:03d}_j{j:03d}.csv" for i, j in first
+        ]
 
     def test_a_grid_of_failed_runs_is_written(self, tmp_path):
         """At a learning rate of 1e308 every cell fails; the grid still
