@@ -23,14 +23,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import nn
-from .lmm import HsiBundle, min_max_scale
+from .lmm import GroundTruth, HsiBundle, min_max_scale
 from .metrics import (
     DegenerateSpectrumError,
+    column_norms,
     lenient_angles,
     mse_loss,
     rmse_overwriting,
@@ -44,7 +45,12 @@ TRACE_DENSE_ITERATIONS = 1000
 TRACE_SPARSE_EVERY = 100
 
 _DEFAULT_EPOCHS = {"original": 100, "basic": 400}
-_LOSSES = {"mse": mse_loss, "sad": sad_loss}
+# a training step's losses: each forms its gradient in the reconstruction
+# x_hat, the decoder's train slot, which backward does not read
+_LOSSES = {
+    "mse": lambda x, x_hat: mse_loss(x, x_hat, out=x_hat),
+    "sad": lambda x, x_hat: sad_loss(x, x_hat, out=x_hat),
+}
 
 
 @dataclass(frozen=True)
@@ -419,6 +425,7 @@ def train_stack(
             nets, config, bundle.pixels, [run_seed for _, run_seed, *_ in members],
             traces if log_gradients else None, traced,
         )
+        scene = _Scene(bundle.pixels, column_norms(bundle.pixels), bundle.ground_truth)
         share = (time.perf_counter() - t0) / len(members)
         out = []
         for net, loss, trace, checksum, (init_seed, run_seed, init_id, run_id) in zip(
@@ -428,7 +435,7 @@ def train_stack(
             diverged = loss is _FROZEN
             if not diverged:
                 try:
-                    scores = _score(net, bundle)
+                    scores = _score(net, scene)
                 except (DegenerateSpectrumError, nn.DivergenceError):
                     diverged = True
             if diverged:
@@ -509,13 +516,13 @@ def _fit(nets, config, x, run_seeds, traces, traced) -> list:
             # mode="clip" spares take the copy it makes under "raise"
             xb = np.take(xt, idx, axis=0, out=out, mode="clip").mT
             iteration += 1
+            # the bundle checked its pixels once, so the batch is finite
             recon, _, cache = nn.forward(
-                stack, xb, mode=nn.TRAIN, seed=seeds[:, step].tolist()
+                stack, xb, mode=nn.TRAIN, seed=seeds[:, step].tolist(), check_finite=False
             )
             values, loss_grad = loss_fn(xb, recon)
             lost = np.flatnonzero(~np.isfinite(values)).tolist()
             nn.backward(stack, cache, loss_grad)
-            del loss_grad  # not alive beside the next step's
             if traces is not None and GradientTrace.should_log(iteration):
                 stats = [_mean_std(stack.flat_grads[:, sl]) for _, sl in traced]
                 for p, r in enumerate(live):
@@ -547,20 +554,30 @@ _SCORE_FIELDS = (
 )
 
 
-def _score(net: nn.Network, bundle: HsiBundle) -> dict:
+class _Scene(NamedTuple):
+    """What _score reads of a bundle, with the column norms of its pixels,
+    computed once per stack."""
+
+    pixels: np.ndarray
+    norms: np.ndarray
+    ground_truth: GroundTruth | None
+
+
+def _score(net: nn.Network, scene: _Scene) -> dict:
     """The score fields of a trained net's record. An endmember column
     without an angle raises DegenerateSpectrumError, and a non-finite score
     DivergenceError."""
     # The scene-sized arrays here are x and recon: the angle works in
     # column blocks, the RMSE then overwrites recon, and the eval cache
-    # (every hidden activation of the scene) is dropped at once.
-    x = bundle.pixels
-    recon, abundances = nn.forward(net, x, mode=nn.EVAL)[:2]
-    recon_sad = float(lenient_angles(x, recon).mean())
+    # (every hidden activation of the scene) is dropped at once. The
+    # pixels come from a bundle, which checked them when it was built.
+    x = scene.pixels
+    recon, abundances = nn.forward(net, x, mode=nn.EVAL, check_finite=False)[:2]
+    recon_sad = float(lenient_angles(x, recon, scene.norms).mean())
     recon_rmse = rmse_overwriting(x, recon)
     errors = (None, None, None)
-    if bundle.ground_truth is not None:
-        truth = bundle.ground_truth
+    if scene.ground_truth is not None:
+        truth = scene.ground_truth
         errors = unmixing_errors(
             truth.endmembers, truth.abundances, extract_endmembers(net), abundances
         )

@@ -50,7 +50,12 @@ class SeparationError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> NDArrayF:
+    """a as a read-only C-ordered float64 array that owns its memory: a
+    view of other memory is copied, so nothing can change the array after
+    it was checked. An array that already owns its memory is kept."""
     out = np.ascontiguousarray(a, dtype=np.float64)
+    if out.base is not None:
+        out = out.copy()
     out.flags.writeable = False
     return out
 

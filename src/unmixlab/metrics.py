@@ -35,35 +35,55 @@ def _loss_value(values: np.ndarray, x: np.ndarray):
     return float(values.flat[0]) if x.ndim == 2 else values
 
 
-def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
+def mse_loss(
+    x: np.ndarray, x_hat: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float, NDArrayF]:
     """Mean squared error over all entries and its gradient wrt x_hat.
 
     On a stack of (members x bands x batch) arrays the value is the array
     of each member's loss, each with the bits of the 2-D call.
+
+    The residual x_hat - x is formed in out (x_hat itself may be passed,
+    as a training step passes its reconstruction) and then turned into the
+    gradient in place, so the call allocates one member's squares and
+    nothing as large as the inputs; without out it is a new array. The
+    value has the bits of np.mean((x_hat - x) ** 2) per member when out is
+    laid out as numpy lays out x_hat - x (any C-ordered out, such as a
+    reconstruction, is). The gradient is residual / (n / 2) with n =
+    bands x batch: the bits of 2 * residual / n wherever 2 * residual is
+    finite. Where |x_hat - x| > DBL_MAX / 2 it is finite where 2 * residual
+    / n is infinite; the loss is infinite there either way.
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    diff = x_hat - x
-    # each member's squares on their own, so the temporary is one member's
-    value = _loss_value(
-        np.array([np.mean(d * d) for d in diff.reshape(-1, *diff.shape[-2:])]), x
-    )
-    # the gradient 2.0 * diff / (bands * batch), formed in diff's own memory
-    diff *= 2.0
-    diff /= diff.shape[-2] * diff.shape[-1]
-    return value, diff
+    diff = np.subtract(x_hat, x, out=out)
+    n = diff.shape[-2] * diff.shape[-1]
+    # each member's squares on their own, in one member-sized scratch laid
+    # out as d * d would be, so the sum adds them in np.mean's order
+    members = diff.reshape(-1, *diff.shape[-2:])
+    square = np.empty_like(members[0])
+    values = np.empty(len(members))
+    for r, d in enumerate(members):
+        values[r] = np.add.reduce(np.multiply(d, d, out=square), axis=None) / n
+    diff /= n / 2
+    return _loss_value(values, x), diff
 
 
-def sad_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
+def sad_loss(
+    x: np.ndarray, x_hat: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float, NDArrayF]:
     """Mean spectral angle between matching columns and its gradient wrt x_hat.
 
     The cosine is clamped to +/-(1 - 1e-7) before arccos; the gradient is
     zero for columns in the clamped region. Columns of zero norm are
     rejected because their angle is undefined: a 2-D call raises, and on a
     stack of (members x bands x batch) arrays, whose value is the array of
-    each member's loss, a member with such a column gets a NaN loss.
+    each member's loss, a member with such a column gets a NaN loss. The
+    gradient is written into out (x_hat itself may be passed; it is read
+    before it is written), or a new array without it; its bits are the
+    same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
@@ -88,8 +108,10 @@ def sad_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, NDArrayF]:
     # x / (|x||x_hat|) - cos * x_hat / |x_hat|^2. A trailing [..., None, :]
     # puts a per-column factor against every band of its column.
     dacos = -1.0 / np.sqrt(1.0 - cos_c * cos_c)
-    dcos = x / (nx * nh)[..., None, :] - cos[..., None, :] * x_hat / (nh * nh)[..., None, :]
-    grad = (dacos / n_cols)[..., None, :] * dcos
+    toward = np.multiply(cos[..., None, :], x_hat, out=out)
+    toward /= (nh * nh)[..., None, :]
+    dcos = np.subtract(x / (nx * nh)[..., None, :], toward, out=out)
+    grad = np.multiply((dacos / n_cols)[..., None, :], dcos, out=dcos)
     np.copyto(grad, 0.0, where=clamped[..., None, :])
     return value, grad
 
@@ -107,9 +129,24 @@ def spectral_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def lenient_angles(x: np.ndarray, x_hat: np.ndarray) -> NDArrayF:
+def column_norms(x: np.ndarray) -> NDArrayF:
+    """The Euclidean norm of each column of x, ANGLE_BLOCK_COLUMNS columns
+    at a time: the norms lenient_angles computes, with no temporary as
+    large as x."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.empty(x.shape[1])
+    for start in range(0, x.shape[1], ANGLE_BLOCK_COLUMNS):
+        cols = slice(start, start + ANGLE_BLOCK_COLUMNS)
+        norms[cols] = np.linalg.norm(x[:, cols], axis=0)
+    return norms
+
+
+def lenient_angles(
+    x: np.ndarray, x_hat: np.ndarray, x_norms: np.ndarray | None = None
+) -> NDArrayF:
     """Angle between each pair of matching columns; a column with a
-    zero-norm side gets pi/2.
+    zero-norm side gets pi/2. x_norms, if given, is column_norms(x), which
+    a caller scoring many reconstructions of one x computes once.
 
     The columns are taken ANGLE_BLOCK_COLUMNS at a time, so no temporary is
     as large as the inputs. Each column's norm and dot product depend on
@@ -121,15 +158,22 @@ def lenient_angles(x: np.ndarray, x_hat: np.ndarray) -> NDArrayF:
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    x_norms = column_norms(x) if x_norms is None else np.asarray(x_norms, dtype=np.float64)
+    if x_norms.shape != x.shape[1:]:
+        raise ValueError(f"x_norms must hold {x.shape[1]} norms, not {x_norms.shape}")
     angles = np.full(x.shape[1], np.pi / 2.0)
     for start in range(0, x.shape[1], ANGLE_BLOCK_COLUMNS):
         cols = slice(start, start + ANGLE_BLOCK_COLUMNS)
         xb, hb = x[:, cols], x_hat[:, cols]
-        nx = np.linalg.norm(xb, axis=0)
+        nx = x_norms[cols]
         nh = np.linalg.norm(hb, axis=0)
         ok = (nx > 0) & (nh > 0)
-        if np.any(ok):
-            # boolean column indexing makes the F-ordered operands
+        # einsum gets F-ordered operands: whole copies when every column
+        # counts, else the ones boolean column indexing makes
+        if ok.all():
+            dots = np.einsum("ij,ij->j", np.asfortranarray(xb), np.asfortranarray(hb))
+            angles[cols] = np.arccos(np.clip(dots / (nx * nh), -1.0, 1.0))
+        elif ok.any():
             cos = np.einsum("ij,ij->j", xb[:, ok], hb[:, ok]) / (nx[ok] * nh[ok])
             angles[cols][ok] = np.arccos(np.clip(cos, -1.0, 1.0))
     return angles

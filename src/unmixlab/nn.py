@@ -747,7 +747,7 @@ class ForwardCache:
 
 
 def forward(
-    net: Network, batch: np.ndarray, mode: str = EVAL, seed=0,
+    net: Network, batch: np.ndarray, mode: str = EVAL, seed=0, check_finite: bool = True,
 ) -> tuple[NDArrayF, NDArrayF, ForwardCache]:
     """Run the autoencoder on a (bands x batch) matrix, or a stack on a
     (members x bands x batch) array.
@@ -755,8 +755,12 @@ def forward(
     Returns (reconstruction, abundances, cache). Abundances are the
     sum-to-one layer output, before any dropout. Dropout noise is drawn
     from the given seed (for a stack, a sequence of one seed per member, or
-    one seed for all) and is active in train mode only. A batch with a
-    non-finite entry raises ValueError.
+    one seed for all) and is active in train mode only.
+
+    With check_finite (the default), a batch with a non-finite entry raises
+    ValueError. The harness passes False for batches cut from an HsiBundle,
+    whose pixels were checked once, when the bundle was built, and cannot
+    change since: the check lives at that boundary, not in every step.
 
     A train forward runs in net's train slots for the batch's shape and
     layout and bumps net's version: the arrays it returns and the slots in
@@ -775,7 +779,7 @@ def forward(
         )
     if x.shape[-1] < 1:
         raise ValueError("batch must hold at least one column")
-    if not np.isfinite(x).all():
+    if check_finite and not np.isfinite(x).all():
         raise ValueError("non-finite batch input")
     if mode == TRAIN:
         slots = net._claim_slots(x)

@@ -14,13 +14,16 @@ writers and the report's threshold rows were rewritten for speed.
 Floating-point results depend on the BLAS build, so the pins hold for the
 numpy line they were recorded with (numpy 2.4, OpenBLAS 0.3.31, x86-64).
 
-Run `python tests/test_golden.py` to print the current hashes.
+Run `PYTHONPATH=src python tests/test_golden.py` to check every pin
+without pytest: it prints each current hash beside its pin, marked `ok` or
+`MOVED`, and exits 1 if any pin moved.
 """
 
 import contextlib
 import hashlib
 import io
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -171,8 +174,20 @@ def test_analysis_outputs_are_byte_identical_to_golden(tmp_path):
     assert analysis_digest(tmp_path) == ANALYSIS_GOLDEN
 
 
-if __name__ == "__main__":
+def main_check() -> int:
+    """Print each current hash beside its pin, marked ok or MOVED; 1 if
+    any pin moved, else 0."""
+    if not _on_pinned_platform():
+        print(f"note: the pins hold for numpy/machine {PINNED_PLATFORM}", file=sys.stderr)
+    pins = {**GOLDEN, "analysis": ANALYSIS_GOLDEN}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in current_digests(Path(tmp)).items():
-            print(f"{name} {digest}")
-        print(f"analysis {analysis_digest(Path(tmp))}")
+        current = {**current_digests(Path(tmp)), "analysis": analysis_digest(Path(tmp))}
+    moved = [name for name in pins if current[name] != pins[name]]
+    for name, pin in pins.items():
+        mark = "MOVED" if name in moved else "ok"
+        print(f"{name:<20} {current[name]}  pin {pin}  {mark}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_check())

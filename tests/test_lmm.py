@@ -288,6 +288,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             bundle.pixels[0, 0] = 5.0
 
+    def test_a_view_is_copied_so_its_base_cannot_change_the_bundle(self):
+        base = np.ones((4, 6))
+        bundle = HsiBundle(pixels=base[:, :])
+        w = np.full((5, 2), 0.5)
+        a = np.full((2, 6), 0.5)
+        gt = GroundTruth(endmembers=w[:, :], abundances=a[:, :])
+        base[0, 0] = w[0, 0] = a[0, 0] = np.nan
+        assert np.isfinite(bundle.pixels).all()
+        assert np.isfinite(gt.endmembers).all() and np.isfinite(gt.abundances).all()
+        for frozen in (bundle.pixels, gt.endmembers, gt.abundances):
+            assert frozen.base is None and not frozen.flags.writeable
+
+    def test_an_array_that_owns_its_memory_is_not_copied(self):
+        pixels = np.ones((4, 6))
+        assert HsiBundle(pixels=pixels).pixels is pixels
+
 
 class TestMinMaxScale:
     def test_preserves_mixing_relation(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from unmixlab.metrics import (
     DegenerateSpectrumError,
     aggregate_errors,
     angle_matrix,
+    column_norms,
     format_mean_std,
     lenient_angles,
     match_endmembers,
@@ -23,7 +25,13 @@ from unmixlab.metrics import (
 )
 from unmixlab.stats import group_scores
 
-from metrics_oracles import brute_force_match, rmse_abundances, sad_endmembers
+from metrics_oracles import (
+    brute_force_match,
+    lenient_angles_reference,
+    mse_loss_reference,
+    rmse_abundances,
+    sad_endmembers,
+)
 
 
 def _bits(a):
@@ -88,6 +96,95 @@ class TestMseLoss:
         np.testing.assert_array_equal(_bits(x_hat), _bits(x_hat_before))
 
 
+def _gathered_batch(members, bands, batch, seed):
+    """A batch as a training step gathers it, the F-ordered .mT of a
+    pixel-major take (2-D for members=None), and a C-ordered
+    reconstruction. Every member's residuals hold +0, -0 and subnormals;
+    the first member's also finite values near 1e300, whose squares
+    overflow."""
+    rng = np.random.default_rng(seed)
+    xt = rng.uniform(0.0, 1.0, (60, bands))
+    rows = [rng.permutation(60)[:batch] for _ in range(members or 1)]
+    xb = np.take(xt, rows[0] if members is None else np.stack(rows), axis=0).mT
+    recon = xb + rng.normal(0.0, 0.1, xb.shape)
+    assert recon.flags.c_contiguous and not xb[..., 0, :].flags.c_contiguous
+    small = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 3e-320)
+    large = (1e300, -1e300, 8e307, -8e307)
+    for m, (x_m, r_m) in enumerate(zip(xb.reshape(-1, bands, batch),
+                                       recon.reshape(-1, bands, batch))):
+        for k, residual in enumerate(small + (large if m == 0 else ())):
+            # x is +0 there, so the residual is the reconstruction's entry
+            x_m[k % bands, k], r_m[k % bands, k] = 0.0, residual
+    return xb, recon
+
+
+class TestMseLossOnePass:
+    """The one-pass mse_loss against the allocating reference it replaced."""
+
+    @pytest.mark.parametrize("members", [None, 1, 2, 3, 8])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "out"])
+    def test_equals_the_reference_bit_for_bit(self, members, in_place):
+        xb, recon = _gathered_batch(members, 13, 11, seed=members or 0)
+        with np.errstate(over="ignore"):
+            ref_value, ref_grad = mse_loss_reference(xb, recon)
+            x_before, recon_before = xb.copy(order="K"), recon.copy()
+            value, grad = mse_loss(xb, recon, out=recon if in_place else None)
+        np.testing.assert_array_equal(_bits(np.asarray(value)), _bits(np.asarray(ref_value)))
+        assert grad.shape == ref_grad.shape and grad.strides == ref_grad.strides
+        np.testing.assert_array_equal(_bits(grad), _bits(ref_grad))
+        assert (grad is recon) == in_place
+        np.testing.assert_array_equal(_bits(xb), _bits(x_before))
+        if not in_place:
+            np.testing.assert_array_equal(_bits(recon), _bits(recon_before))
+        # the first member's loss overflowed, the others' did not
+        values = np.atleast_1d(value)
+        assert values[0] == math.inf and np.isfinite(values[1:]).all()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_on_equal_layouts(self, order):
+        rng = np.random.default_rng(5)
+        x = np.asarray(rng.normal(size=(3, 9, 7)), order=order)
+        x_hat = np.asarray(rng.normal(size=(3, 9, 7)), order=order)
+        x[0, 0, 0], x_hat[0, 0, 0] = 0.0, -0.0
+        ref_value, ref_grad = mse_loss_reference(x, x_hat)
+        value, grad = mse_loss(x, x_hat, out=x_hat)
+        np.testing.assert_array_equal(_bits(value), _bits(ref_value))
+        assert grad.strides == ref_grad.strides
+        np.testing.assert_array_equal(_bits(grad), _bits(ref_grad))
+
+    def test_gradient_beyond_half_the_largest_double_is_finite(self):
+        """The one behaviour change: where |x_hat - x| > DBL_MAX / 2 the
+        reference doubles the residual to inf, while residual / (n / 2)
+        stays finite. The loss is infinite in both."""
+        x = np.zeros((2, 3))
+        x_hat = np.ones((2, 3))
+        x_hat[1, 2] = 1.5e308
+        with np.errstate(over="ignore"):
+            value, grad = mse_loss(x, x_hat)
+            ref_value, ref_grad = mse_loss_reference(x, x_hat)
+        assert value == ref_value == math.inf
+        assert ref_grad[1, 2] == math.inf
+        assert grad[1, 2] == 1.5e308 / 3.0
+        np.testing.assert_array_equal(_bits(grad[0]), _bits(ref_grad[0]))
+
+    def test_peak_is_one_member_of_squares(self):
+        """At the Samson stack shape the in-place call allocates one
+        member's squares, not the stack's residual, squares or gradient."""
+        members, bands, batch = 4, 156, 256
+        rng = np.random.default_rng(6)
+        xt = rng.uniform(0.0, 1.0, (2000, bands))
+        idx = np.stack([rng.permutation(2000)[:batch] for _ in range(members)])
+        xb = np.take(xt, idx, axis=0).mT
+        recon = rng.uniform(0.0, 1.0, (members, bands, batch))
+        tracemalloc.start()
+        try:
+            mse_loss(xb, recon, out=recon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bands * batch * 8 + 64 * 1024
+
+
 class TestSadLoss:
     def test_zero_on_identical(self):
         rng = np.random.default_rng(2)
@@ -143,6 +240,38 @@ class TestSadLoss:
         sad_value, _ = sad_loss(x, x.copy())
         assert mse_value == 0.0
         assert sad_value == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("x_order", ["C", "F"])
+    def test_gradient_in_place_is_the_allocating_formula_bit_for_bit(self, members, x_order):
+        lead = () if members is None else (members,)
+        rng = np.random.default_rng(8)
+        x = np.asarray(rng.uniform(0.1, 1.0, lead + (7, 10)), order=x_order)
+        x_hat = rng.uniform(0.1, 1.0, lead + (7, 10))
+        x_hat[..., 3] = 2.5 * x[..., 3]  # a clamped column
+        x_hat[..., 0, 4] = -0.0
+        nx, nh = np.linalg.norm(x, axis=-2), np.linalg.norm(x_hat, axis=-2)
+        cos = np.einsum("...ij,...ij->...j", x, x_hat) / (nx * nh)
+        cos_c = np.clip(cos, -(1 - 1e-7), 1 - 1e-7)
+        dcos = x / (nx * nh)[..., None, :] - cos[..., None, :] * x_hat / (nh * nh)[..., None, :]
+        ref = (-1.0 / np.sqrt(1.0 - cos_c * cos_c) / 10)[..., None, :] * dcos
+        ref[np.broadcast_to((np.abs(cos) >= 1 - 1e-7)[..., None, :], ref.shape)] = 0.0
+        value, grad = sad_loss(x, x_hat)
+        assert grad.strides == ref.strides
+        np.testing.assert_array_equal(_bits(grad), _bits(ref))
+        value_out, grad_out = sad_loss(x, x_hat, out=x_hat)
+        assert grad_out is x_hat
+        np.testing.assert_array_equal(_bits(np.asarray(value_out)), _bits(np.asarray(value)))
+        np.testing.assert_array_equal(_bits(grad_out), _bits(ref))
+
+    def test_zero_column_rejected_before_out_is_written(self):
+        x = np.ones((3, 2))
+        x_hat = np.ones((3, 2))
+        x_hat[:, 1] = 0.0
+        before = x_hat.copy()
+        with pytest.raises(DegenerateSpectrumError):
+            sad_loss(x, x_hat, out=x_hat)
+        np.testing.assert_array_equal(x_hat, before)
 
 
 def _whole_matrix_angles(x, x_hat):
@@ -206,6 +335,26 @@ class TestLenientAngles:
         np.testing.assert_array_equal(_bits(recon), _bits(recon_before))
         with pytest.raises(ValueError):
             lenient_angles(x, recon[:, 1:])
+
+    @pytest.mark.parametrize("bands,order", [(156, "C"), (17, "C"), (17, "F")])
+    def test_equals_the_reference_with_and_without_norms(self, bands, order):
+        """Zero-norm columns in x and in x_hat, a block where every column
+        counts, an all-zero block, and a short last block."""
+        pixels = 4 * self.EDGE + 299
+        x, recon = _scene_and_recon(bands, pixels, 9)
+        x[:, [5, 700]] = 0.0
+        recon[:, [6, 700, pixels - 1]] = 0.0
+        x[:, 2 * self.EDGE : 3 * self.EDGE] = 0.0  # the all-zero block
+        x = np.asarray(x, order=order)
+        ref = lenient_angles_reference(x, recon)
+        np.testing.assert_array_equal(_bits(ref), _bits(_whole_matrix_angles(x, recon)))
+        norms = column_norms(x)
+        np.testing.assert_array_equal(_bits(norms), _bits(np.linalg.norm(x, axis=0)))
+        for passed in (None, norms):
+            np.testing.assert_array_equal(_bits(lenient_angles(x, recon, passed)), _bits(ref))
+        assert (ref[2 * self.EDGE : 3 * self.EDGE] == np.pi / 2.0).all()
+        with pytest.raises(ValueError, match="norms"):
+            lenient_angles(x, recon, norms[1:])
 
 
 class TestRmseOverwriting:

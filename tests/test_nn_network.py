@@ -227,6 +227,17 @@ class TestForwardContracts:
                 with pytest.raises(ValueError, match="non-finite"):
                     nn.forward(net, x, mode=mode)
 
+    def test_the_finiteness_check_can_be_left_to_the_caller(self):
+        """A caller whose batch was checked before, as a bundle's pixels
+        were, skips the scan; the batch then runs through unchecked."""
+        net = nn.build_network("basic", 6, 2, n1=3)
+        x = np.ones((6, 2))
+        x[0, 0] = np.nan
+        for mode in (nn.EVAL, nn.TRAIN):
+            recon = nn.forward(net, x, mode=mode, check_finite=False)[0]
+            alone = nn.forward(net, x[:, 1:], mode=mode)[0]
+            np.testing.assert_allclose(recon[:, 1], alone[:, 0], rtol=1e-12)
+
     def test_batchnorm_single_column_train_rejected(self):
         net = nn.build_network("original", 8, 2)
         with pytest.raises(ValueError):
