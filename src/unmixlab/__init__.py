@@ -68,7 +68,6 @@ from .stats import (
     midranks,
     ph_ratio,
     required_trials,
-    t_sf,
 )
 
 __version__ = "0.1.0"

@@ -409,22 +409,21 @@ def train_stack(
     if config.scale:
         bundle, _ = min_max_scale(data)
     latent = _resolve_latent_dim(config, bundle)
-    nets = []
-    for init_seed, *_ in members:
-        net = nn.build_network(
-            config.architecture, bundle.bands, latent,
-            n1=config.n1, gd_rate=config.gd_rate,
-        )
-        nets.append(nn.initialize_network(net, config.init_scheme, init_seed))
-    checksums = [net.parameter_checksum() for net in nets]
-    traced = _trainable_encoder_layers(nets[0])
+    stack = nn.build_network(
+        config.architecture, bundle.bands, latent,
+        n1=config.n1, gd_rate=config.gd_rate, members=len(members),
+    )
+    nn.initialize_network(stack, config.init_scheme, [seed for seed, *_ in members])
+    checksums = [stack.parameter_checksum(r) for r in range(len(members))]
+    traced = _trainable_encoder_layers(stack)
     traces = [GradientTrace([name for name, _ in traced]) for _ in members]
     # numpy's overflow warnings are noise: a failing run is caught below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        losses = _fit(
-            nets, config, bundle.pixels, [run_seed for _, run_seed, *_ in members],
+        nets, losses = _fit(
+            stack, config, bundle.pixels, [run_seed for _, run_seed, *_ in members],
             traces if log_gradients else None, traced,
         )
+        del stack  # scoring holds no train slots
         scene = _Scene(bundle.pixels, column_norms(bundle.pixels), bundle.ground_truth)
         share = (time.perf_counter() - t0) / len(members)
         out = []
@@ -460,14 +459,14 @@ def train_stack(
 _FROZEN = object()
 
 
-def _fit(nets, config, x, run_seeds, traces, traced) -> list:
-    """Train the one-member networks nets as one stack on the columns of x,
-    member r from run_seeds[r] and logging into traces[r]; returns each
-    member's last loss, or _FROZEN for a member that failed: a NaN loss
-    (the SAD loss's zero-norm column, or a non-finite loss), a non-finite
-    gradient, or a non-finite parameter after the last step. A failing
-    member leaves the stack at that step, and its net holds its state then;
-    the others' nets get their trained state at the end.
+def _fit(stack, config, x, run_seeds, traces, traced) -> tuple[list, list]:
+    """Train the initialized stack on the columns of x, member r from
+    run_seeds[r] and logging into traces[r]; returns each member's network
+    (a stack.member copy) and last loss, or _FROZEN for a member that
+    failed: a NaN loss (the SAD loss's zero-norm column, or a non-finite
+    loss), a non-finite gradient, or a non-finite parameter after the last
+    step. A failing member is copied out as it leaves the stack at that
+    step; the others are copied out at the end.
     """
     # Batches come from a pixel-major copy: the row gather xt[idx] is about
     # ten times cheaper than the column gather x[:, idx] at B=156, and its
@@ -475,21 +474,21 @@ def _fit(nets, config, x, run_seeds, traces, traced) -> list:
     # returns, so every matmul sees the same operand layout and rounds the
     # same.
     xt = np.ascontiguousarray(x.T)
-    stack = nn.stack_networks(nets)
     state = nn.AdamState(learning_rate=config.learning_rate)
     loss_fn = _LOSSES[config.loss]
     has_bn = any(layer.kind == "batch_norm" for layer in stack.encoder)
     m, bs = x.shape[1], config.batch_size
     starts = [s for s in range(0, m, bs) if not (has_bn and min(s + bs, m) - s == 1)]
     rngs = [np.random.default_rng(seed) for seed in run_seeds]
-    live = list(range(len(nets)))  # the member each stack position trains
-    losses: list = [None] * len(nets)
+    live = list(range(stack.members))  # the member each stack position trains
+    nets: list = [None] * stack.members
+    losses: list = [None] * stack.members
     gathered: dict = {}  # the batch array of each stack shape, overwritten per step
 
     def freeze(positions) -> None:
         nonlocal live, orders, seeds
         for p in positions:
-            nn.unstack_member(stack, p, nets[live[p]])
+            nets[live[p]] = stack.member(p)
             losses[live[p]] = _FROZEN
         keep = [p for p in range(len(live)) if p not in positions]
         live = [live[p] for p in keep]
@@ -534,19 +533,19 @@ def _fit(nets, config, x, run_seeds, traces, traced) -> list:
             if lost:
                 freeze(lost)
                 if not live:
-                    return losses
+                    return nets, losses
             try:
                 nn.apply_gradients(stack, state)
             except nn.DivergenceError as exc:
                 freeze(exc.members)
                 if not live:
-                    return losses
+                    return nets, losses
                 nn.apply_gradients(stack, state)
     for p, r in enumerate(live):
-        nn.unstack_member(stack, p, nets[r])
+        nets[r] = stack.member(p)
         if not np.isfinite(nets[r].flat_params).all():
             losses[r] = _FROZEN
-    return losses
+    return nets, losses
 
 
 _SCORE_FIELDS = (

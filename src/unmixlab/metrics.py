@@ -1,9 +1,10 @@
 """Training losses with gradients, and unmixing quality metrics.
 
 Losses return (value, gradient wrt the reconstruction) so the network
-backward pass can be driven directly. Quality metrics compare estimated
-endmembers/abundances against a reference after finding the best column
-permutation.
+backward pass can be driven directly; the value has shape x.shape[:-2],
+one loss per stack member (0-d for a bands x batch pair). Quality
+metrics compare estimated endmembers/abundances against a reference
+after finding the best column permutation.
 """
 
 from __future__ import annotations
@@ -29,19 +30,13 @@ class DegenerateSpectrumError(ValueError):
     """A spectrum with zero norm has no direction, so no spectral angle."""
 
 
-def _loss_value(values: np.ndarray, x: np.ndarray):
-    """The loss of a (bands x batch) x as a float; the array of each
-    member's loss for a (members x bands x batch) stack."""
-    return float(values.flat[0]) if x.ndim == 2 else values
-
-
 def mse_loss(
     x: np.ndarray, x_hat: np.ndarray, out: np.ndarray | None = None
-) -> tuple[float, NDArrayF]:
+) -> tuple[NDArrayF, NDArrayF]:
     """Mean squared error over all entries and its gradient wrt x_hat.
 
-    On a stack of (members x bands x batch) arrays the value is the array
-    of each member's loss, each with the bits of the 2-D call.
+    On a stack of (members x bands x batch) arrays the value holds each
+    member's loss, each with the bits of that member's 2-D call.
 
     The residual x_hat - x is formed in out (x_hat itself may be passed,
     as a training step passes its reconstruction) and then turned into the
@@ -68,22 +63,20 @@ def mse_loss(
     for r, d in enumerate(members):
         values[r] = np.add.reduce(np.multiply(d, d, out=square), axis=None) / n
     diff /= n / 2
-    return _loss_value(values, x), diff
+    return values.reshape(x.shape[:-2]), diff
 
 
 def sad_loss(
     x: np.ndarray, x_hat: np.ndarray, out: np.ndarray | None = None
-) -> tuple[float, NDArrayF]:
+) -> tuple[NDArrayF, NDArrayF]:
     """Mean spectral angle between matching columns and its gradient wrt x_hat.
 
     The cosine is clamped to +/-(1 - 1e-7) before arccos; the gradient is
-    zero for columns in the clamped region. Columns of zero norm are
-    rejected because their angle is undefined: a 2-D call raises, and on a
-    stack of (members x bands x batch) arrays, whose value is the array of
-    each member's loss, a member with such a column gets a NaN loss. The
-    gradient is written into out (x_hat itself may be passed; it is read
-    before it is written), or a new array without it; its bits are the
-    same either way.
+    zero for columns in the clamped region. A column of zero norm has no
+    angle, so a pair that holds one, a 2-D call's or a stack member's, gets
+    a NaN loss (and a gradient that is not finite). The gradient is written
+    into out (x_hat itself may be passed; it is read before it is written),
+    or a new array without it; its bits are the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
@@ -92,17 +85,13 @@ def sad_loss(
     nx = np.linalg.norm(x, axis=-2)
     nh = np.linalg.norm(x_hat, axis=-2)
     degenerate = ((nx == 0) | (nh == 0)).any(axis=-1)
-    if x.ndim == 2 and degenerate:
-        raise DegenerateSpectrumError("zero-norm column in spectral angle loss")
     dots = np.einsum("...ij,...ij->...j", x, x_hat)
     cos = dots / (nx * nh)
     clamped = np.abs(cos) >= COS_CLAMP
     cos_c = np.clip(cos, -COS_CLAMP, COS_CLAMP)
     angles = np.arccos(cos_c)
     n_cols = x.shape[-1]
-    value = _loss_value(np.mean(angles, axis=-1), x)
-    if x.ndim == 3:
-        value[degenerate] = np.nan
+    value = np.where(degenerate, np.nan, np.mean(angles, axis=-1))
 
     # d angle / d cos = -1 / sqrt(1 - cos^2); d cos / d x_hat per column:
     # x / (|x||x_hat|) - cos * x_hat / |x_hat|^2. A trailing [..., None, :]

@@ -14,8 +14,9 @@ Every layer also takes a stack: a (members x features x batch) input, with
 parameters that carry the same leading member axis. The layers reduce over
 the last two axes only and matmul per member, so member r of a stack gets
 the bits that a one-member network of member r's parameters gets from the
-same (features x batch) input: a 2-D call is the one-member case of the
-same code.
+same (features x batch) input. Only stacks train; the one-member network
+(no member axis) is the single model that Network.member copies out of a
+stack, that checkpoints hold and whose 2-D parameters callers read.
 
 A layer's forward(x, mode, rng, slot) keeps in its slot, a plain dict,
 both what backward(dy, slot) reads and every array it wrote as an `out=`.
@@ -390,8 +391,8 @@ class GaussianDropout(_Parameterless):
 
     rate r in [0, 1) maps to noise variance r / (1 - r); r = 0 is the
     identity. Backward reuses the exact noise realization from forward.
-    A stacked (members x features x batch) input takes one generator per
-    member, so each member draws its noise from its own stream.
+    rng holds one generator per member (or is one, for a 2-D input), so
+    each member draws its noise from its own stream.
     """
 
     kind = "gaussian_dropout"
@@ -413,7 +414,8 @@ class GaussianDropout(_Parameterless):
         noise = slot.get("noise")
         if noise is None:
             noise = slot["noise"] = np.empty(x.shape)
-        for gen, rows in ((rng, noise),) if x.ndim == 2 else zip(rng, noise):
+        gens = rng if isinstance(rng, list) else [rng]
+        for gen, rows in zip(gens, noise.reshape(-1, *x.shape[-2:]), strict=True):
             gen.standard_normal(rows.shape, out=rows)
         noise *= sigma
         noise += 1.0
@@ -465,7 +467,8 @@ class Network:
     in), and forward takes an R x features x batch batch. Member r's
     arrays are row r of each, and every layer computes each member from
     that member's rows alone, as a one-member network (members=None, the
-    default, with no member axis) computes it.
+    default, with no member axis) computes it. A stack is what trains, and
+    its meta holds one init_seed per member; member(r) copies member r out.
 
     The network also keeps the train slots of forward, one list per batch
     shape and layout, and a version that every train forward, Adam step and
@@ -565,11 +568,30 @@ class Network:
         grads = self.flat_grads[keep]
         for _, layer, key, arr in self._entries("params") + self._entries("buffers"):
             setattr(layer, key, arr[keep])
+        if "init_seed" in self.meta:
+            self.meta["init_seed"] = [self.meta["init_seed"][p] for p in keep]
         self.members = len(keep)
         self._bind_arena()
         self.flat_grads[...] = grads
         self._slots.clear()
         self._version += 1
+
+    def member(self, r: int) -> "Network":
+        """A one-member copy of member r: its parameters and buffers bit for
+        bit, and the stack's meta with member r's init_seed."""
+        if self.members is None:
+            raise ValueError("a one-member network has no member axis")
+        layers = [layer_from_spec(layer.spec()) for layer in self.encoder + [self.decoder]]
+        meta = dict(self.meta)
+        if "init_seed" in meta:
+            meta["init_seed"] = meta["init_seed"][r]
+        net = Network(layers[:-1], layers[-1], self.input_dim, self.latent_dim,
+                      self.arch, meta)
+        net.flat_params[...] = self.flat_params[r]
+        buffers = self.named_buffers()
+        for name, buf in net.named_buffers().items():
+            buf[...] = buffers[name][r]
+        return net
 
     def _claim_slots(self, x: np.ndarray) -> list[dict]:
         """The train slots for a batch of x's shape and layout, made on
@@ -597,17 +619,20 @@ class Network:
     def named_buffers(self) -> dict[str, NDArrayF]:
         return {name: arr for name, *_, arr in self._entries("buffers")}
 
-    def parameter_checksum(self) -> str:
+    def parameter_checksum(self, member: int | None = None) -> str:
+        """sha256 of the parameters in name order; of member `member`'s
+        rows for a stack, which hash as that member's copy does."""
         params = self.named_parameters()
         h = hashlib.sha256()
         for name in sorted(params):
             h.update(name.encode())
-            h.update(params[name].tobytes())
+            h.update((params[name] if member is None else params[name][member]).tobytes())
         return h.hexdigest()
 
 
 def build_network(
-    arch: str, n_bands: int, n_latent: int, n1: int = 10, gd_rate: float = 0.0
+    arch: str, n_bands: int, n_latent: int, n1: int = 10, gd_rate: float = 0.0,
+    members: int | None = None,
 ) -> Network:
     """Assemble one of the two canonical unmixing autoencoders.
 
@@ -616,6 +641,7 @@ def build_network(
     "basic": two ReLU-activated linear layers (n1*E then E) and sum-to-one.
     Both use a single bias-free decoder so trained decoder columns can be
     read as endmembers. Weights start at zero; apply initialize_network.
+    members=R builds a stack of R such networks (see Network).
 
     Custom stacks can be assembled through Network directly, e.g. to move
     activations or normalization around.
@@ -647,62 +673,39 @@ def build_network(
     else:
         raise ValueError(f"unknown architecture {arch!r}; expected original or basic")
     decoder = Linear(e, n_bands, bias=False)
-    return Network(encoder, decoder, input_dim=n_bands, latent_dim=e, arch=arch)
+    return Network(encoder, decoder, input_dim=n_bands, latent_dim=e, arch=arch,
+                   members=members)
 
 
-def stack_networks(nets) -> Network:
-    """A stack of the one-member networks nets, in their order: member r
-    starts with the parameters and buffers of nets[r]. All must share one
-    architecture."""
-    first = nets[0]
-    specs = [layer.spec() for layer in first.encoder + [first.decoder]]
-    for net in nets:
-        if net.members is not None:
-            raise ValueError("only one-member networks can be stacked")
-        if (net.input_dim, [l.spec() for l in net.encoder + [net.decoder]]) != (
-            first.input_dim, specs
-        ):
-            raise ValueError("stacked networks must share one architecture")
-    stack = Network(
-        [layer_from_spec(spec) for spec in specs[:-1]], layer_from_spec(specs[-1]),
-        input_dim=first.input_dim, latent_dim=first.latent_dim, arch=first.arch,
-        members=len(nets),
-    )
-    buffers = stack.named_buffers()
-    for r, net in enumerate(nets):
-        stack.flat_params[r] = net.flat_params
-        for name, buf in net.named_buffers().items():
-            buffers[name][r] = buf
-    return stack
+def _member_seeds(seed, count: int, what: str) -> list:
+    """One seed per member: an int serves all count members, and a sequence
+    must hold count seeds, kept as Python ints (never a numpy array)."""
+    seeds = [seed] * count if isinstance(seed, (int, np.integer)) else list(seed)
+    if len(seeds) != count:
+        raise ValueError(f"{len(seeds)} {what} seeds for a network of {count} members")
+    return seeds
 
 
-def unstack_member(stack: Network, r: int, net: Network) -> None:
-    """Write member r of stack, its parameters and buffers, into the
-    one-member network net of the same architecture."""
-    net.flat_params[...] = stack.flat_params[r]
-    buffers = stack.named_buffers()
-    for name, buf in net.named_buffers().items():
-        buf[...] = buffers[name][r]
-    net._version += 1
-
-
-def initialize_network(net: Network, scheme: str, seed: int) -> Network:
+def initialize_network(net: Network, scheme: str, seed) -> Network:
     """Seed all linear weights with the given scheme; reset the other params.
 
     Each linear layer (encoder order, then decoder) draws from its own
     stream mix64(seed, layer_index), so layer draws are independent of each
-    other and of the batch/dropout randomness.
+    other and of the batch/dropout randomness. A stack takes one seed per
+    member (see _member_seeds) and fills member r's rows in place from
+    mix64(seed_r, layer_index), as a one-member network of seed_r.
     """
     scheme = normalize_init_scheme(scheme)
-    idx = 0
+    seeds = [int(s) for s in _member_seeds(seed, net.members or 1, "init")]
     linears = [l for l in net.encoder if isinstance(l, Linear)] + [net.decoder]
-    for layer in linears:
-        w, b = init_weights(scheme, layer.in_features, layer.out_features,
-                            mix64(seed, idx))
-        np.copyto(layer.weight, w)
-        if layer.has_bias:
-            np.copyto(layer.bias, b)
-        idx += 1
+    for idx, layer in enumerate(linears):
+        for r, member_seed in enumerate(seeds):
+            w, b = init_weights(scheme, layer.in_features, layer.out_features,
+                                mix64(member_seed, idx))
+            # row r of the arrays seen with a member axis, a view
+            np.copyto(layer.weight.reshape(-1, *w.shape)[r], w)
+            if layer.has_bias:
+                np.copyto(layer.bias.reshape(-1, b.size)[r], b)
     for layer in net.encoder:
         if isinstance(layer, BatchNorm):
             layer.gamma.fill(1.0)
@@ -712,7 +715,7 @@ def initialize_network(net: Network, scheme: str, seed: int) -> Network:
         elif isinstance(layer, SoftThreshold):
             layer.alpha.fill(0.0)
     net.meta["init_scheme"] = scheme
-    net.meta["init_seed"] = int(seed)
+    net.meta["init_seed"] = seeds[0] if net.members is None else seeds
     net._version += 1
     return net
 
@@ -753,9 +756,9 @@ def forward(
     (members x bands x batch) array.
 
     Returns (reconstruction, abundances, cache). Abundances are the
-    sum-to-one layer output, before any dropout. Dropout noise is drawn
-    from the given seed (for a stack, a sequence of one seed per member, or
-    one seed for all) and is active in train mode only.
+    sum-to-one layer output, before any dropout. Dropout noise, active in
+    train mode only, is drawn per member from that member's seed (see
+    _member_seeds; a sequence of the wrong length raises ValueError).
 
     With check_finite (the default), a batch with a non-finite entry raises
     ValueError. The harness passes False for batches cut from an HsiBundle,
@@ -781,6 +784,7 @@ def forward(
         raise ValueError("batch must hold at least one column")
     if check_finite and not np.isfinite(x).all():
         raise ValueError("non-finite batch input")
+    rng = [_LazyRng(s) for s in _member_seeds(seed, net.members or 1, "dropout")]
     if mode == TRAIN:
         slots = net._claim_slots(x)
         net._version += 1
@@ -791,10 +795,6 @@ def forward(
         # running layer reads and writes
         net._slots.clear()
         slots = None
-    if net.members is None:
-        rng = _LazyRng(seed)
-    else:
-        rng = [_LazyRng(s) for s in (seed if np.ndim(seed) else [seed] * net.members)]
     abundances = None
     for i, layer in enumerate(net.encoder):
         x = layer.forward(x, mode, rng, {} if slots is None else slots[i])
@@ -914,7 +914,7 @@ def save_checkpoint(net: Network, path) -> None:
     The payload is the concatenation of all parameters then all buffers in
     header order, little-endian float64, with a sha256 checksum recorded in
     the header. Round-trips are bit-exact. A stack has no checkpoint;
-    write each member into a one-member network with unstack_member.
+    checkpoint each member's Network.member copy.
     """
     if net.members is not None:
         raise ValueError("a stacked network cannot be checkpointed")

@@ -164,18 +164,6 @@ def chi2_sf(x: float, df: float) -> float:
     return regularized_gamma_q(df / 2.0, x / 2.0)
 
 
-def t_sf(x: float, df: float) -> float:
-    """Student t survival function P(T >= x) with df degrees of freedom."""
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if x == 0.0:
-        return 0.5
-    if math.isinf(x):
-        return 0.0 if x > 0 else 1.0
-    tail = 0.5 * regularized_beta(df / 2.0, 0.5, df / (df + x * x))
-    return tail if x > 0 else 1.0 - tail
-
-
 def f_sf(x: float, d1: float, d2: float) -> float:
     """F survival function P(F >= x) with (d1, d2) degrees of freedom."""
     if d1 < 1 or d2 < 1:

@@ -228,9 +228,14 @@ class TestSadLoss:
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_zero_column_rejected(self):
+        """A zero-norm column has no angle: its pair's loss is NaN, for a
+        2-D call as for a stack member, whose neighbours keep theirs."""
         x = np.array([[1.0], [1.0]])
-        with pytest.raises(DegenerateSpectrumError):
-            sad_loss(x, np.zeros((2, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, _ = sad_loss(x, np.zeros((2, 1)))
+            stacked, _ = sad_loss(np.stack([x, x]), np.stack([x, np.zeros((2, 1))]))
+        assert value.shape == () and np.isnan(value)
+        assert stacked.shape == (2,) and np.isfinite(stacked[0]) and np.isnan(stacked[1])
 
     def test_mse_zero_implies_sad_zero(self):
         """Exact reconstruction is zero under both losses (the one-way link)."""
@@ -264,14 +269,18 @@ class TestSadLoss:
         np.testing.assert_array_equal(_bits(np.asarray(value_out)), _bits(np.asarray(value)))
         np.testing.assert_array_equal(_bits(grad_out), _bits(ref))
 
-    def test_zero_column_rejected_before_out_is_written(self):
+    def test_zero_column_gives_nan_in_place(self):
+        """The in-place call gives the zero-norm column's NaN loss too, with
+        the bits of the allocating call in both value and gradient."""
         x = np.ones((3, 2))
         x_hat = np.ones((3, 2))
         x_hat[:, 1] = 0.0
-        before = x_hat.copy()
-        with pytest.raises(DegenerateSpectrumError):
-            sad_loss(x, x_hat, out=x_hat)
-        np.testing.assert_array_equal(x_hat, before)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, grad = sad_loss(x, x_hat)
+            value_out, grad_out = sad_loss(x, x_hat, out=x_hat)
+        assert np.isnan(value) and np.isnan(value_out)
+        assert grad_out is x_hat
+        np.testing.assert_array_equal(_bits(grad_out), _bits(grad))
 
 
 def _whole_matrix_angles(x, x_hat):

@@ -4,7 +4,8 @@ dropping members from a stack; and train_stack against per-cell train_once
 runs, for stacks of 1 to 8 members of both architectures and both losses,
 with members that fail mid-stack and one that fails at scoring."""
 
-import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +29,18 @@ ARCHS = [
 
 
 def _nets(arch, kwargs, count, bands=14, latent=3):
+    """count one-member networks, seeded 40, 41, ...: the oracles."""
     nets = []
     for r in range(count):
         net = nn.build_network(arch, bands, latent, **kwargs)
         nets.append(nn.initialize_network(net, "xgu", 40 + r))
     return nets
+
+
+def _stack(arch, kwargs, count, bands=14, latent=3):
+    """The stack of _nets' networks, built and seeded in place."""
+    stack = nn.build_network(arch, bands, latent, members=count, **kwargs)
+    return nn.initialize_network(stack, "xgu", [40 + r for r in range(count)])
 
 
 def _bits(a):
@@ -44,6 +52,11 @@ def assert_same_array(a, b):
     np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
+# Python ints on both sides of 2**63: an array of them is float64, whose
+# rounding would move every seed above 2**53
+MIXED_SEEDS = [5553958407343274720, 2**63 + 12345, 7, 2**64 - 1]
+
+
 class TestStackedNetwork:
     @pytest.mark.parametrize("arch,kwargs,loss_fn", ARCHS)
     def test_a_stack_step_is_each_members_own_step(self, arch, kwargs, loss_fn):
@@ -51,7 +64,7 @@ class TestStackedNetwork:
         member the bits (and the per-member layouts) of its one-member
         network, dropout noise from each member's own seed included."""
         singles = _nets(arch, kwargs, 3)
-        stack = nn.stack_networks(copy.deepcopy(singles))
+        stack = _stack(arch, kwargs, 3)
         states = [nn.AdamState(0.01) for _ in singles]
         stack_state = nn.AdamState(0.01)
         rng = np.random.default_rng(3)
@@ -69,7 +82,7 @@ class TestStackedNetwork:
                 assert_same_array(recon[r], r_one)
                 assert_same_array(abundances[r], a_one)
                 value, grad_one = loss_fn(xb, r_one)
-                assert values[r] == value
+                assert value.shape == () and values[r] == value
                 assert_same_array(grad[r], grad_one)
                 nn.backward(net, c_one, grad_one)
                 assert_same_array(stack.flat_grads[r], net.flat_grads)
@@ -79,9 +92,59 @@ class TestStackedNetwork:
                 for name, buf in net.named_buffers().items():
                     assert_same_array(stack.named_buffers()[name][r], buf)
 
+    @pytest.mark.parametrize("arch,kwargs", [("original", {"gd_rate": 0.1}), ("basic", {})])
+    @pytest.mark.parametrize("scheme", ["khu", "xgn"])
+    def test_per_member_init_is_each_members_own_init(self, arch, kwargs, scheme):
+        """Member r of a stack seeded in place has the parameters, buffers,
+        checksum and init_seed of a one-member network seeded alone with
+        seed r, for seeds below and above 2**63 in one list."""
+        stack = nn.build_network(arch, 14, 3, members=len(MIXED_SEEDS), **kwargs)
+        nn.initialize_network(stack, scheme, MIXED_SEEDS)
+        assert stack.meta["init_seed"] == MIXED_SEEDS
+        assert all(type(seed) is int for seed in stack.meta["init_seed"])
+        for r, seed in enumerate(MIXED_SEEDS):
+            one = nn.initialize_network(nn.build_network(arch, 14, 3, **kwargs), scheme, seed)
+            assert_same_array(stack.flat_params[r], one.flat_params)
+            assert stack.parameter_checksum(r) == one.parameter_checksum()
+            copy_out = stack.member(r)
+            assert copy_out.meta == one.meta == {"init_scheme": one.meta["init_scheme"],
+                                                 "init_seed": seed}
+            assert_same_array(copy_out.flat_params, one.flat_params)
+            for name, buf in one.named_buffers().items():
+                assert_same_array(copy_out.named_buffers()[name], buf)
+
+    def test_a_wrong_seed_count_is_rejected(self):
+        """A stack of three takes three dropout or init seeds, or one for
+        all; a list of two or four is refused before anything is drawn."""
+        stack = _stack("original", {"gd_rate": 0.3}, 3)
+        x = np.random.default_rng(7).uniform(0.05, 1.0, (3, 14, 6))
+        version = stack._version
+        for seeds in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match=f"{len(seeds)} dropout seeds .* 3 members"):
+                nn.forward(stack, x, nn.TRAIN, seeds)
+            with pytest.raises(ValueError, match=f"{len(seeds)} init seeds .* 3 members"):
+                nn.initialize_network(stack, "xgu", seeds)
+        assert stack._version == version and stack._slots == {}
+        # one seed serves every member: the eval default, and in train mode
+        # every member draws the same noise stream
+        nn.forward(stack, x)
+        recon = nn.forward(stack, x, nn.TRAIN, 5)[0].copy()
+        np.testing.assert_array_equal(recon, nn.forward(stack, x, nn.TRAIN, [5, 5, 5])[0])
+        # the dropout layer draws one member per generator, no fewer
+        layer = stack.encoder[-1]
+        with pytest.raises(ValueError):
+            layer.forward(x, nn.TRAIN, [np.random.default_rng(1)] * 2, {})
+
+    def test_a_stack_needs_a_member(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            nn.build_network("basic", 14, 3, members=0)
+        config = _config("basic", "mse")
+        with pytest.raises(ValueError, match="at least one member"):
+            train_stack(config, _scene(), [])
+
     def test_members_have_the_leading_axis(self):
         nets = _nets("original", {"gd_rate": 0.1}, 4)
-        stack = nn.stack_networks(nets)
+        stack = _stack("original", {"gd_rate": 0.1}, 4)
         assert stack.members == 4 and stack.flat_params.shape[0] == 4
         params = stack.named_parameters()
         assert params["enc0.weight"].shape == (4, 27, 14)
@@ -100,8 +163,7 @@ class TestStackedNetwork:
             assert_same_array(abundances[r], a_one)
 
     def test_keep_members_keeps_their_bits(self):
-        nets = _nets("original", {"gd_rate": 0.1}, 4)
-        stack = nn.stack_networks(nets)
+        stack = _stack("original", {"gd_rate": 0.1}, 4)
         x = np.random.default_rng(4).uniform(0.05, 1.0, (4, 14, 6))
         recon, _, cache = nn.forward(stack, x, nn.TRAIN, [1, 2, 3, 4])
         nn.backward(stack, cache, mse_loss(x, recon)[1])
@@ -111,19 +173,40 @@ class TestStackedNetwork:
         }
         stack.keep_members([3, 1])
         assert stack.members == 2 and stack._slots == {}
+        assert stack.meta["init_seed"] == [43, 41]
         assert_same_array(stack.flat_params, before["params"][[3, 1]])
         assert_same_array(stack.flat_grads, before["grads"][[3, 1]])
         for name, buf in stack.named_buffers().items():
             assert_same_array(buf, before["buffers"][name][[3, 1]])
         with pytest.raises(nn.CacheError, match="stale"):
             nn.backward(stack, cache, mse_loss(x, recon)[1])
-        # member 0 is now old member 3: unstack it into a one-member net
-        twin = copy.deepcopy(nets[0])
-        nn.unstack_member(stack, 0, twin)
-        assert_same_array(twin.flat_params, before["params"][3])
+
+    def test_a_member_copied_out_after_keep_members(self):
+        """After keep_members, member(p) is the kept member alone: its
+        parameters, train-moved buffers and init_seed, in arrays of its own,
+        checkpointed as its one-member twin is."""
+        stack = _stack("original", {"gd_rate": 0.1}, 4)
+        x = np.random.default_rng(4).uniform(0.05, 1.0, (4, 14, 6))
+        nn.forward(stack, x, nn.TRAIN, [1, 2, 3, 4])
+        params = stack.flat_params.copy()
+        buffers = {k: v.copy() for k, v in stack.named_buffers().items()}
+        stack.keep_members([3, 1])
+        for p, old in enumerate([3, 1]):
+            one = stack.member(p)
+            assert one.members is None and one.arch == "original"
+            assert one.meta == {"init_scheme": "glorot_uniform", "init_seed": 40 + old}
+            assert_same_array(one.flat_params, params[old])
+            for name, buf in one.named_buffers().items():
+                assert_same_array(buf, buffers[name][old])
+                assert not np.shares_memory(buf, stack.named_buffers()[name])
+            assert not np.shares_memory(one.flat_params, stack.flat_params)
+            assert one.parameter_checksum() == stack.parameter_checksum(p)
+        twin = _nets("original", {"gd_rate": 0.1}, 4)[1]
+        nn.forward(twin, x[1], nn.TRAIN, 2)
+        assert _checkpoint(stack.member(1)) == _checkpoint(twin)
 
     def test_a_nonfinite_member_names_itself_and_touches_nothing(self):
-        stack = nn.stack_networks(_nets("basic", {"n1": 4}, 3))
+        stack = _stack("basic", {"n1": 4}, 3)
         state = nn.AdamState()
         x = np.random.default_rng(5).uniform(0.05, 1.0, (3, 14, 6))
         recon, _, cache = nn.forward(stack, x, nn.TRAIN, [0, 0, 0])
@@ -138,13 +221,26 @@ class TestStackedNetwork:
         assert_same_array(stack.flat_params, params)
 
     def test_stacks_need_one_architecture_and_have_no_checkpoint(self, tmp_path):
-        with pytest.raises(ValueError, match="one architecture"):
-            nn.stack_networks(_nets("basic", {"n1": 4}, 1) + _nets("basic", {"n1": 5}, 1))
-        stack = nn.stack_networks(_nets("basic", {"n1": 4}, 2))
+        """Every member of a stack has the stack's one architecture; the
+        stack itself has no checkpoint, and a one-member network has no
+        member to copy out."""
+        stack = _stack("basic", {"n1": 4}, 2)
+        specs = [layer.spec() for layer in stack.encoder + [stack.decoder]]
+        for r in range(2):
+            one = stack.member(r)
+            assert [layer.spec() for layer in one.encoder + [one.decoder]] == specs
+            assert (one.input_dim, one.latent_dim) == (stack.input_dim, stack.latent_dim)
         with pytest.raises(ValueError, match="one-member"):
-            nn.stack_networks([stack])
+            stack.member(0).member(0)
         with pytest.raises(ValueError, match="checkpoint"):
             nn.save_checkpoint(stack, tmp_path / "stack.ckpt")
+
+
+def _checkpoint(net):
+    """The bytes save_checkpoint writes for net."""
+    with tempfile.TemporaryDirectory() as tmp:
+        nn.save_checkpoint(net, Path(tmp) / "net.ckpt")
+        return (Path(tmp) / "net.ckpt").read_bytes()
 
 
 def _scene():
