@@ -9,7 +9,6 @@ Failures print one machine-readable line to stderr: `error {json}`.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, lmm, nn, stats
-from .metrics import aggregate_errors, format_mean_std
+from .metrics import format_mean_std, summarize_errors
 from .seeding import mix64
 
 EXIT_OK = 0
@@ -173,8 +172,8 @@ def _cmd_experiment(args) -> int:
 
 def _read_records(args):
     """The records and metadata of --records. A file this version did not
-    write, whose record count differs from its metadata's (a cut or
-    appended file), or in which no run scores --metric, is a data error."""
+    write, or whose record count differs from its metadata's (a cut or
+    appended file), is a data error."""
     path = Path(args.records)
     if not path.exists():
         raise DataError(f"record file {path} does not exist")
@@ -194,22 +193,32 @@ def _read_records(args):
             f"record file {path} holds {len(records)} records but its "
             f"metadata line says count {meta.get('count')!r}"
         )
-    if any(not r.diverged for r in records) and all(
-        getattr(r, args.metric) is None for r in records if not r.diverged
-    ):
+    return records, meta
+
+
+def _metric_column(records, metric: str) -> tuple[list, np.ndarray]:
+    """Each record's diverged flag, and stats.metric_values(records,
+    metric) from those flags and one read of the metric. Records in which
+    no run scores the metric are a data error."""
+    if metric not in stats.METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}; expected {stats.METRIC_NAMES}")
+    diverged = [r.diverged for r in records]
+    scores = [getattr(r, metric) for r in records]
+    if not all(diverged) and all(s is None for s, dv in zip(scores, diverged) if not dv):
         # not a divergence: the runs never computed the metric, as a
         # bundle without ground truth computes no endmember_sad
         raise DataError(
-            f"no record in {path} scores {args.metric}: every run that did "
-            f"not diverge leaves it empty; choose another --metric"
+            f"no record scores {metric}: every run that did not diverge "
+            f"leaves it empty; choose another --metric"
         )
-    return records, meta
+    return diverged, stats.metric_column(diverged, scores)
 
 
 def _cmd_analyze(args) -> int:
     records, _meta = _read_records(args)
     try:
-        grouped = stats.group_scores(records, args.metric)
+        _, values = _metric_column(records, args.metric)
+        grouped = stats.group_by_init([r.init_id for r in records], values)
         report = stats.analyze_grouped(grouped, alpha=args.alpha, metric=args.metric)
     except ValueError as exc:
         raise DataError(str(exc))
@@ -237,7 +246,9 @@ def _cmd_plan(args) -> int:
         if args.records is None or args.threshold is None:
             raise ValueError("plan needs either --p-hat or --records with --threshold")
         records, _ = _read_records(args)
-        p_hat = stats.estimate_success_prob(records, args.metric, args.threshold)
+        _, values = _metric_column(records, args.metric)
+        # estimate_success_prob's arithmetic, on the checked metric column
+        p_hat = float(np.mean(values < args.threshold))
         threshold = args.threshold
     try:
         n_req = stats.required_trials(p_hat, args.confidence)
@@ -267,39 +278,41 @@ def _freedman_diaconis_bins(values: np.ndarray) -> int:
 def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
                 thresholds=None, confidence: float = 0.95,
                 bins: int | None = None) -> list[Path]:
-    """Write histogram.csv, trials.csv, summary.txt, and the stat report."""
+    """Write histogram.csv, trials.csv, summary.txt, and the stat report.
+
+    Each field the report reads is read once from each record: the
+    diverged flag, the metric, init_id, abundance_rmse and endmember_sad.
+    The CSV files are written as one text each, with csv.writer's bytes:
+    "\r\n" line ends, and no field here needs quotes.
+    """
+    diverged, values = _metric_column(records, metric)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    values = stats.metric_values(records, metric)
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         raise DataError("all runs diverged; nothing to report")
 
     n_bins = bins if bins is not None else _freedman_diaconis_bins(finite)
     counts, edges = np.histogram(finite, bins=n_bins)
+    edges = edges.tolist()
     hist_path = out / "histogram.csv"
-    with open(hist_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+    hist_path.write_text("bin_left,bin_right,count\r\n" + "".join([
+        f"{edges[i]!r},{edges[i + 1]!r},{c}\r\n" for i, c in enumerate(counts.tolist())
+    ]), encoding="utf-8", newline="")
     written.append(hist_path)
 
+    rows = ["threshold,p_hat,n_req,reachable\r\n"]
+    for t in thresholds or ():
+        # estimate_success_prob's arithmetic, on the histogram's metric pass
+        p_hat = float(np.mean(values < t))
+        if p_hat > 0:
+            n_req = stats.required_trials(p_hat, confidence)
+            rows.append(f"{float(t)!r},{p_hat!r},{n_req},True\r\n")
+        else:
+            rows.append(f"{float(t)!r},{p_hat!r},,False\r\n")
     trials_path = out / "trials.csv"
-    with open(trials_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "p_hat", "n_req", "reachable"])
-        for t in thresholds or ():
-            # estimate_success_prob's arithmetic, on the histogram's metric pass
-            p_hat = float(np.mean(values < t))
-            if p_hat > 0:
-                writer.writerow(
-                    [repr(float(t)), repr(p_hat),
-                     stats.required_trials(p_hat, confidence), True]
-                )
-            else:
-                writer.writerow([repr(float(t)), repr(p_hat), "", False])
+    trials_path.write_text("".join(rows), encoding="utf-8", newline="")
     written.append(trials_path)
 
     lines = [
@@ -308,8 +321,14 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
         f"metric: {metric}",
         f"{metric}_mean_std: {format_mean_std(float(finite.mean()), float(finite.std(ddof=1)) if finite.size > 1 else 0.0)}",
     ]
+    # the metric's own column serves again when it is one of the two
+    ab_arr, em_arr = (
+        values if field == metric
+        else stats.metric_column(diverged, [getattr(r, field) for r in records])
+        for field in ("abundance_rmse", "endmember_sad")
+    )
     try:
-        summary = aggregate_errors(records)
+        summary = summarize_errors(ab_arr, em_arr)
         lines.append(
             "abundance_rmse: "
             + format_mean_std(summary.abundance_mean, summary.abundance_std)
@@ -325,7 +344,7 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
     written.append(summary_path)
 
     try:
-        grouped = stats.group_scores(records, metric)
+        grouped = stats.group_by_init([r.init_id for r in records], values)
         report = stats.analyze_grouped(grouped, alpha=alpha, metric=metric)
     except ValueError:
         return written

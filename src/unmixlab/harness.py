@@ -15,11 +15,11 @@ persist as CSV with columns iteration, layer, mean, std.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -298,12 +298,14 @@ class GradientTrace:
         return len(self.iterations)
 
     def to_csv(self, path) -> None:
+        """Write the rows as one text, with csv.writer's bytes: "\r\n"
+        line ends, and no field here needs quotes."""
+        rows = ["iteration,layer,mean,std\r\n"]
+        for it, means, stds in zip(self.iterations, self.means, self.stds):
+            for layer, m, s in zip(self.layers, means, stds):
+                rows.append(f"{it},{layer},{m!r},{s!r}\r\n")
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "layer", "mean", "std"])
-            for it, means, stds in zip(self.iterations, self.means, self.stds):
-                for layer, m, s in zip(self.layers, means, stds):
-                    writer.writerow([it, layer, repr(m), repr(s)])
+            fh.write("".join(rows))
 
     @classmethod
     def from_csv(cls, path) -> "GradientTrace":
@@ -620,9 +622,36 @@ def _train_cells(config: ExperimentConfig, data: HsiBundle, cells: list):
 
 # set in pool workers only, once each, so a task pickles just its cells
 _WORKER_STATE: dict = {}
+# where numpy's wheel keeps the OpenBLAS build it links
+_NUMPY_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: its
+    import pulls in multiprocessing, which a serial grid never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
+
+
+def _pin_blas_threads() -> None:
+    """Give this process one OpenBLAS thread, through the setter that
+    numpy's bundled scipy-openblas exports; where no such library or
+    symbol is found, do nothing. Two workers that each start a BLAS thread
+    per CPU oversubscribe the machine and run slower than one process."""
+    for path in sorted(_NUMPY_LIBS.glob("libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return
 
 
 def _worker_init(config: ExperimentConfig, data: HsiBundle) -> None:
+    _pin_blas_threads()
     _WORKER_STATE["args"] = (config, data)
 
 
@@ -717,38 +746,66 @@ def write_records(
             fh.write(record.to_json() + "\n")
 
 
+# the C scanner inside json.loads, called without the decode() wrapper and
+# its two whitespace regex matches per line
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+# what _decode_line returns for a line of whitespace only
+_BLANK = object()
+
+
+def _decode_line(line: str):
+    """json.loads(line), or _BLANK for a line that str.strip empties.
+
+    A line the scanner takes whole from column 0, up to JSON whitespace,
+    is decoded by that one scanner call, the call json.loads would make.
+    Any other line (leading whitespace, trailing text, a BOM, bad JSON)
+    goes to json.loads, which returns or raises what it always did.
+    """
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        if not line.strip():
+            return _BLANK
+        return json.loads(line)
+    if line[end:].strip(_JSON_SPACE):
+        return json.loads(line)  # raises "Extra data"
+    return value
+
+
 def read_records(path) -> tuple[list[RunRecord], dict]:
     """Read a record file; returns (records, metadata).
 
     The file is read line by line (LF, CRLF or CR newlines), so it is
-    never held whole beside its records. Blank lines are skipped. A line
-    that is not JSON, not an object, or lacks a required key raises
+    never held whole beside its records, and each line is decoded as
+    json.loads decodes it (see _decode_line). Blank lines are skipped. A
+    line that is not JSON, not an object, or lacks a required key raises
     ValueError naming the path and its 1-based line number. The metadata
     line must hold a record_format key, but neither it nor count is
     compared with what was read: a cut file reads without error, and the
     CLI makes those checks.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        numbered = (
-            (number, line)
-            for number, line in enumerate(fh, 1)
-            if line.strip()
-        )
-        first = next(numbered, None)
-        if first is None:
+        lines = enumerate(fh, 1)
+        meta = _BLANK
+        for number, line in lines:
+            try:
+                meta = _decode_line(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from exc
+            if meta is not _BLANK:
+                break
+        if meta is _BLANK:
             raise ValueError(f"{path} is empty")
-        number, line = first
-        try:
-            meta = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}, line {number}: {exc}") from exc
         if not isinstance(meta, dict) or "record_format" not in meta:
             raise ValueError(f"{path} does not start with a metadata line")
         records = []
         build = RunRecord._from_mapping
-        for number, line in numbered:
+        for number, line in lines:
             try:
-                records.append(build(json.loads(line)))
+                value = _decode_line(line)
+                if value is not _BLANK:
+                    records.append(build(value))
             except KeyError as exc:
                 raise ValueError(f"{path}, line {number}: missing key {exc}") from exc
             except (TypeError, ValueError) as exc:

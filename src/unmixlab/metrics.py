@@ -299,8 +299,14 @@ def aggregate_errors(records: Iterable) -> ErrorSummary:
     required.
     """
     records = list(records)
-    ab_arr = metric_values(records, "abundance_rmse")
-    em_arr = metric_values(records, "endmember_sad")
+    return summarize_errors(
+        metric_values(records, "abundance_rmse"), metric_values(records, "endmember_sad")
+    )
+
+
+def summarize_errors(ab_arr: NDArrayF, em_arr: NDArrayF) -> ErrorSummary:
+    """aggregate_errors of records given as two columns: the metric_values
+    scores of their abundance_rmse and of their endmember_sad."""
     scored = np.isfinite(ab_arr) & np.isfinite(em_arr)
     if not scored.any():
         raise ValueError("no scored records to aggregate")

@@ -14,7 +14,6 @@ high-precision references in the test suite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,32 +98,43 @@ def _beta_cf(a: NDArrayF, b: NDArrayF, x: NDArrayF) -> NDArrayF:
     """Lentz continued fraction of I_x(a, b), elementwise.
 
     Every element runs the scalar recurrence's exact arithmetic and keeps
-    the h of the step at which its own |delt - 1| fell below _EPS; later
-    steps only move the elements still active.
+    the h of the step at which its own |delt - 1| fell below _EPS; an
+    element that never does keeps the h of step _ITMAX. Each step works
+    on the elements still converging only: the ones that converged leave
+    every array at that step, with their h written out.
     """
+    out = np.empty_like(x)
+    pos = np.arange(x.size)  # the out position of each element still converging
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones_like(x)
     d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    with np.errstate(all="ignore"):  # frozen elements may run off afterwards
+    with np.errstate(all="ignore"):  # as quiet as the scalar recurrence
         for m in range(1, _ITMAX + 1):
+            if not pos.size:
+                break
             m2 = 2 * m
-            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            am2 = a + m2
+            aa = m * (b - m) * x / ((qam + m2) * am2)
             d = 1.0 / _floor_tiny(1.0 + aa * d)
             c = _floor_tiny(1.0 + aa / c)
-            h = np.where(active, h * (d * c), h)
-            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            h *= d * c
+            aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
             d = 1.0 / _floor_tiny(1.0 + aa * d)
             c = _floor_tiny(1.0 + aa / c)
             delt = d * c
-            h = np.where(active, h * delt, h)
-            active &= ~(np.abs(delt - 1.0) < _EPS)
-            if not active.any():
-                break
-    return h
+            h *= delt
+            done = np.abs(delt - 1.0) < _EPS
+            if done.any():
+                out[pos[done]] = h[done]
+                left = ~done
+                pos, h, c, d = pos[left], h[left], c[left], d[left]
+                a, b, x = a[left], b[left], x[left]
+                qab, qap, qam = qab[left], qap[left], qam[left]
+    out[pos] = h  # the elements that never converged: step _ITMAX's h
+    return out
 
 
 def _regularized_beta(a: float, b: float, x: NDArrayF) -> NDArrayF:
@@ -426,13 +436,21 @@ def metric_values(records: Iterable, metric: str) -> NDArrayF:
     METRIC_NAMES); diverged or unscored runs become +inf."""
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; expected {METRIC_NAMES}")
-    out = []
-    for rec in records:
-        if getattr(rec, "diverged", False):
-            out.append(math.inf)
-            continue
-        val = getattr(rec, metric)
-        out.append(math.inf if val is None else float(val))
+    records = list(records)
+    diverged = [getattr(rec, "diverged", False) for rec in records]
+    return metric_column(
+        diverged, [None if dv else getattr(rec, metric) for rec, dv in zip(records, diverged)]
+    )
+
+
+def metric_column(diverged: Sequence[bool], scores: Sequence) -> NDArrayF:
+    """metric_values of records given as two columns, one entry per
+    record: its diverged flag and its metric attribute. A caller that
+    reads several fields of the same records reads each flag once."""
+    out = [
+        math.inf if dv or val is None else float(val)
+        for dv, val in zip(diverged, scores, strict=True)
+    ]
     if not out:
         raise ValueError("no records given")
     return np.asarray(out)
@@ -539,14 +557,26 @@ def group_scores(records: Iterable, metric="recon_rmse") -> GroupedScores:
     planner counts those same runs as failures instead.
     """
     records = list(records)
-    buckets: dict[int, list[float]] = {}
-    for rec, val in zip(records, metric_values(records, metric)):
-        if math.isfinite(val):
-            buckets.setdefault(int(rec.init_id), []).append(val)
-    if len(buckets) < 2:
+    values = metric_values(records, metric)
+    return group_by_init([rec.init_id for rec in records], values)
+
+
+def group_by_init(init_ids: Sequence[int], values: NDArrayF) -> GroupedScores:
+    """group_scores of records given as two columns: each record's init_id
+    and its metric_values score."""
+    ids = np.asarray(init_ids, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if ids.shape != values.shape:
+        raise ValueError(f"{ids.size} init ids for {values.size} scores")
+    scored = np.isfinite(values)
+    ids, values = ids[scored], values[scored]
+    # a stable sort keeps each group's scores in record order
+    order = np.argsort(ids, kind="stable")
+    ids, values = ids[order], values[order]
+    groups = np.split(values, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+    if len(groups) < 2:
         raise ValueError("need scored records from at least two initializations")
-    ordered = [np.asarray(buckets[k]) for k in sorted(buckets)]
-    return GroupedScores(tuple(ordered))
+    return GroupedScores(tuple(groups))
 
 
 LEVENE_NOT_RUN = "levene: not run (a group has fewer than 2 scores)"
@@ -586,24 +616,27 @@ def write_stat_report(report: StatReport, out_dir) -> list[Path]:
     written.append(report_path)
 
     if report.posthoc is not None:
-        # each p-value is formatted once, for both files
+        # each p-value is formatted once, for both files, which are written
+        # as one text each with csv.writer's bytes: "\r\n" line ends, and no
+        # field here needs quotes
         cells = [[repr(p) for p in row] for row in report.posthoc.tolist()]
         significant = report.posthoc < report.alpha
         np.fill_diagonal(significant, False)
         mat_path = out / "posthoc_matrix.csv"
-        with open(mat_path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(cells)
+        mat_path.write_text(
+            "".join([",".join(row) + "\r\n" for row in cells]), encoding="utf-8", newline=""
+        )
         written.append(mat_path)
 
         long_path = out / "posthoc_long.csv"
         ids = range(1, len(cells) + 1)
-        with open(long_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "p", "significant"])
-            writer.writerows(
-                (i, j, p, str(sig))
+        long_path.write_text(
+            "i,j,p,significant\r\n" + "".join([
+                f"{i},{j},{p},{sig}\r\n"
                 for i, row, sig_row in zip(ids, cells, significant.tolist())
                 for j, p, sig in zip(ids, row, sig_row)
-            )
+            ]),
+            encoding="utf-8", newline="",
+        )
         written.append(long_path)
     return written

@@ -63,7 +63,7 @@ def _near_float_max(px):
 # The comments name the failure each case reaches; a pixel edit leaves the
 # scene without ground truth.
 FAILING_RUNS = {
-    # a zero pixel has no spectral angle: sad_loss raises a few steps in
+    # a zero pixel has no spectral angle: sad_loss is NaN a few steps in
     "sad-zero-pixel": (dict(loss="sad", batch_size=15, epochs=3), _zero_pixel),
     # pixels near the float64 ceiling overflow the squared loss
     "pixels-near-float-max": (dict(batch_size=15, epochs=3), _near_float_max),
@@ -261,6 +261,21 @@ class TestGrid:
             assert (tmp_path / "alone.csv").read_bytes() == (
                 tmp_path / "s" / record.trace_file
             ).read_bytes()
+
+    def test_workers_without_a_blas_setter_still_run_the_grid(self, tmp_path, monkeypatch):
+        """Where no numpy library exports the OpenBLAS thread setter, pool
+        workers keep their BLAS threads and the grid runs as before. The
+        lookup here finds one file, which does not load."""
+        libs = tmp_path / "libs"
+        libs.mkdir()
+        (libs / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(harness, "_NUMPY_LIBS", libs)
+        harness._pin_blas_threads()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        data = tiny_scene()
+        serial = run_experiment(tiny_config(epochs=2), data, jobs=1)
+        parallel = run_experiment(tiny_config(epochs=2), data, jobs=2)
+        assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -5):

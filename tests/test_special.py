@@ -9,9 +9,11 @@ equal the scalar continued fraction in stats_oracles bit for bit.
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from unmixlab.stats import (
+    _beta_cf,
     chi2_sf,
     f_sf,
     regularized_beta,
@@ -127,3 +129,21 @@ def test_t_and_f_sf_are_the_scalar_oracle_bit_for_bit():
     for d1, d2 in ((1, 48), (2, 8), (3, 10), (9, 40), (49, 2450)):
         for x in (0.0, 0.01, 0.3, 1.0, 1.2, 2.5, 7.7, 35.0, 1e6, math.inf):
             assert _bits(f_sf(x, d1, d2)) == _bits(oracles.f_sf(x, d1, d2)), (x, d1, d2)
+
+
+def test_beta_cf_elements_leave_at_their_own_step():
+    """The array continued fraction drops each element at the step it
+    converges; every element keeps the scalar recurrence's bits, from one
+    that converges at step 1 to ones that run all _ITMAX steps."""
+    rng = np.random.default_rng(17)
+    a = np.exp(rng.uniform(math.log(0.5), math.log(2000.0), 300))
+    b = np.exp(rng.uniform(math.log(0.5), math.log(2000.0), 300))
+    x = rng.uniform(0.0, 1.0, 300) * (a + 1.0) / (a + b + 2.0)
+    # x = 1e-300 converges at step 1; (1e7, 1e7, 0.49999), (1e8, 1e8, 0.5)
+    # and a NaN x still run at step _ITMAX
+    a = np.concatenate([a, [2.0, 0.5, 1e7, 1e8, 3.0]])
+    b = np.concatenate([b, [3.0, 0.5, 1e7, 1e8, 2.0]])
+    x = np.concatenate([x, [1e-300, 1e-300, 0.49999, 0.5, math.nan]])
+    got = _beta_cf(a, b, x)
+    for k, (ak, bk, xk) in enumerate(zip(a.tolist(), b.tolist(), x.tolist())):
+        assert _bits(float(got[k])) == _bits(oracles.beta_cf(ak, bk, xk)), (k, ak, bk, xk)

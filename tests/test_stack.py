@@ -390,7 +390,7 @@ class TestTrainStack:
 
     def test_a_zero_norm_column_freezes_the_member_at_that_step(self, tmp_path):
         """A pixel whose squared entries underflow has a zero norm but a
-        nonzero dot product: the 2-D SAD loss raises on it, and a stack
+        nonzero dot product: the SAD loss is NaN on it, and a stack
         member whose batch holds it fails at that step."""
         data = _scene()
         pixels = data.pixels.copy()
