@@ -171,14 +171,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _read_records(args):
-    """The records and metadata of --records. A file this version did not
-    write, or whose record count differs from its metadata's (a cut or
-    appended file), is a data error."""
+    """The record columns (see harness.read_record_columns) and metadata of
+    --records. A file this version did not write, or whose record count
+    differs from its metadata's (a cut or appended file), is a data error."""
     path = Path(args.records)
     if not path.exists():
         raise DataError(f"record file {path} does not exist")
     try:
-        records, meta = harness.read_records(path)
+        columns, meta = harness.read_record_columns(path)
     except OSError as exc:
         raise DataError(f"cannot read record file {path}: {exc}")
     except ValueError as exc:
@@ -188,22 +188,33 @@ def _read_records(args):
             f"record file {path} has record_format {meta['record_format']!r}; "
             f"this version reads {harness.RECORD_FORMAT}"
         )
-    if meta.get("count") != len(records):
+    count = len(columns["diverged"])
+    if meta.get("count") != count:
         raise DataError(
-            f"record file {path} holds {len(records)} records but its "
+            f"record file {path} holds {count} records but its "
             f"metadata line says count {meta.get('count')!r}"
         )
-    return records, meta
+    return columns, meta
 
 
-def _metric_column(records, metric: str) -> tuple[list, np.ndarray]:
-    """Each record's diverged flag, and stats.metric_values(records,
-    metric) from those flags and one read of the metric. Records in which
-    no run scores the metric are a data error."""
+def _score_column(columns, field: str, source: str) -> np.ndarray:
+    """stats.metric_column of the diverged flags and the field column. A
+    score that is not a number is a data error naming source."""
+    try:
+        return stats.metric_column(columns["diverged"], columns[field])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{source}: a {field} score is not a number: {exc}")
+
+
+def _metric_column(columns, metric: str, source: str) -> np.ndarray:
+    """stats.metric_values of the records in columns, read from their
+    diverged and metric columns. No records, records in which no run
+    scores the metric, and a score that is not a number are data errors."""
     if metric not in stats.METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; expected {stats.METRIC_NAMES}")
-    diverged = [r.diverged for r in records]
-    scores = [getattr(r, metric) for r in records]
+    diverged, scores = columns["diverged"], columns[metric]
+    if not diverged:
+        raise DataError(f"{source} holds no records")
     if not all(diverged) and all(s is None for s, dv in zip(scores, diverged) if not dv):
         # not a divergence: the runs never computed the metric, as a
         # bundle without ground truth computes no endmember_sad
@@ -211,14 +222,14 @@ def _metric_column(records, metric: str) -> tuple[list, np.ndarray]:
             f"no record scores {metric}: every run that did not diverge "
             f"leaves it empty; choose another --metric"
         )
-    return diverged, stats.metric_column(diverged, scores)
+    return _score_column(columns, metric, source)
 
 
 def _cmd_analyze(args) -> int:
-    records, _meta = _read_records(args)
+    columns, _meta = _read_records(args)
+    values = _metric_column(columns, args.metric, f"record file {args.records}")
     try:
-        _, values = _metric_column(records, args.metric)
-        grouped = stats.group_by_init([r.init_id for r in records], values)
+        grouped = stats.group_by_init(columns["init_id"], values)
         report = stats.analyze_grouped(grouped, alpha=args.alpha, metric=args.metric)
     except ValueError as exc:
         raise DataError(str(exc))
@@ -245,8 +256,8 @@ def _cmd_plan(args) -> int:
     else:
         if args.records is None or args.threshold is None:
             raise ValueError("plan needs either --p-hat or --records with --threshold")
-        records, _ = _read_records(args)
-        _, values = _metric_column(records, args.metric)
+        columns, _ = _read_records(args)
+        values = _metric_column(columns, args.metric, f"record file {args.records}")
         # estimate_success_prob's arithmetic, on the checked metric column
         p_hat = float(np.mean(values < args.threshold))
         threshold = args.threshold
@@ -278,14 +289,28 @@ def _freedman_diaconis_bins(values: np.ndarray) -> int:
 def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
                 thresholds=None, confidence: float = 0.95,
                 bins: int | None = None) -> list[Path]:
-    """Write histogram.csv, trials.csv, summary.txt, and the stat report.
+    """Write histogram.csv, trials.csv, summary.txt, and the stat report
+    of records, which are read in one pass (see _emit_report)."""
+    return _emit_report(harness.record_columns(records), "records", metric, out_dir,
+                        alpha, thresholds, confidence, bins)
 
-    Each field the report reads is read once from each record: the
-    diverged flag, the metric, init_id, abundance_rmse and endmember_sad.
-    The CSV files are written as one text each, with csv.writer's bytes:
-    "\r\n" line ends, and no field here needs quotes.
+
+def _emit_report(columns, source: str, metric: str, out_dir, alpha: float,
+                 thresholds, confidence: float, bins: int | None) -> list[Path]:
+    """emit_report of the records in columns (see
+    harness.read_record_columns); data errors name source.
+
+    Each column the report reads is read once: the diverged flags, the
+    metric, init_id, abundance_rmse and endmember_sad. The CSV files are
+    written as one text each, with csv.writer's bytes: "\r\n" line ends,
+    and no field here needs quotes.
     """
-    diverged, values = _metric_column(records, metric)
+    values = _metric_column(columns, metric, source)
+    # the metric's own column serves again when it is one of the two
+    ab_arr, em_arr = [
+        values if field == metric else _score_column(columns, field, source)
+        for field in ("abundance_rmse", "endmember_sad")
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -321,12 +346,6 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
         f"metric: {metric}",
         f"{metric}_mean_std: {format_mean_std(float(finite.mean()), float(finite.std(ddof=1)) if finite.size > 1 else 0.0)}",
     ]
-    # the metric's own column serves again when it is one of the two
-    ab_arr, em_arr = (
-        values if field == metric
-        else stats.metric_column(diverged, [getattr(r, field) for r in records])
-        for field in ("abundance_rmse", "endmember_sad")
-    )
     try:
         summary = summarize_errors(ab_arr, em_arr)
         lines.append(
@@ -344,7 +363,7 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
     written.append(summary_path)
 
     try:
-        grouped = stats.group_by_init([r.init_id for r in records], values)
+        grouped = stats.group_by_init(columns["init_id"], values)
         report = stats.analyze_grouped(grouped, alpha=alpha, metric=metric)
     except ValueError:
         return written
@@ -353,14 +372,14 @@ def emit_report(records, metric: str, out_dir, alpha: float = 0.05,
 
 
 def _cmd_report(args) -> int:
-    records, meta = _read_records(args)
+    columns, meta = _read_records(args)
     thresholds = args.thresholds
     if thresholds is None:
         loss = (meta.get("config") or {}).get("loss", "mse")
         thresholds = DEFAULT_THRESHOLDS.get(loss, DEFAULT_THRESHOLDS["mse"])
-    files = emit_report(
-        records, args.metric, args.out, alpha=args.alpha,
-        thresholds=thresholds, confidence=args.confidence, bins=args.bins,
+    files = _emit_report(
+        columns, f"record file {args.records}", args.metric, args.out, args.alpha,
+        thresholds, args.confidence, args.bins,
     )
     print(f"wrote {', '.join(str(f) for f in files)}")
     return EXIT_OK

@@ -22,6 +22,7 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -232,42 +233,69 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        return cls._from_mapping(json.loads(line))
+        """The record of one line, decoded and checked as read_records
+        decodes and checks each line of a record file; a bad line raises
+        ValueError naming it as line 1."""
+        rows = _decode_rows(((1, line),), "record")
+        if not rows:
+            raise ValueError("record, line 1: a blank line holds no record")
+        return cls._from_row(rows[0])
 
     @classmethod
     def _from_mapping(cls, d) -> "RunRecord":
-        """The record of one decoded line, built without the frozen
-        __init__, whose one object.__setattr__ per field costs more than
-        the decode. The values and their types are the ones the
-        constructor got: int ids and seeds, a tuple permutation, a bool
-        diverged flag, no wall time, and None for a missing optional key.
-        Fields are stored one key at a time, in field order: that keeps the
-        instance dict in the class's shared-key layout, where a bulk
-        update would give each record a full dict of its own."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a record must be a JSON object, not {type(d).__name__}")
-        perm = d.get("permutation")
+        """The record of one decoded line (see _record_row)."""
+        return cls._from_row(_record_row(d))
+
+    @classmethod
+    def _from_row(cls, row: tuple) -> "RunRecord":
+        """The record whose fields are row, in field order, built without
+        the frozen __init__, whose one object.__setattr__ per field costs
+        more than the decode. Fields are stored one key at a time, in field
+        order: that keeps the instance dict in the class's shared-key
+        layout, where a bulk update would give each record a full dict of
+        its own. One unpacking does the stores at about half the cost of a
+        loop over RECORD_FIELDS."""
         record = object.__new__(cls)
-        fields = record.__dict__
-        fields["experiment_id"] = d["experiment_id"]
-        fields["init_id"] = int(d["init_id"])
-        fields["run_id"] = int(d["run_id"])
-        fields["init_seed"] = int(d["init_seed"])
-        fields["run_seed"] = int(d["run_seed"])
-        fields["init_checksum"] = d["init_checksum"]
-        fields["final_loss"] = d.get("final_loss")
-        fields["recon_rmse"] = d.get("recon_rmse")
-        fields["recon_sad"] = d.get("recon_sad")
-        fields["abundance_rmse"] = d.get("abundance_rmse")
-        fields["endmember_sad"] = d.get("endmember_sad")
-        fields["permutation"] = tuple(perm) if perm is not None else None
-        fields["diverged"] = bool(d.get("diverged", False))
-        fields["wall_time"] = 0.0
-        fields["trace_file"] = d.get("trace_file")
+        s = record.__dict__
+        (s["experiment_id"], s["init_id"], s["run_id"], s["init_seed"],
+         s["run_seed"], s["init_checksum"], s["final_loss"], s["recon_rmse"],
+         s["recon_sad"], s["abundance_rmse"], s["endmember_sad"],
+         s["permutation"], s["diverged"], s["wall_time"], s["trace_file"]) = row
         return record
 
 
-_RECORD_JSON_FIELDS = [f.name for f in fields(RunRecord) if f.name != "wall_time"]
+# the RunRecord fields in order: the layout of a decoded row, and the keys
+# of the record columns
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_RECORD_JSON_FIELDS = [name for name in RECORD_FIELDS if name != "wall_time"]
+
+
+def _record_row(d) -> tuple:
+    """The RunRecord fields of one decoded record line, in field order, with
+    the values and types the constructor gets: int ids and seeds, a tuple
+    permutation, a bool diverged flag, no wall time, and None for a missing
+    optional key. A value that is not an object raises ValueError, a
+    missing required key KeyError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a record must be a JSON object, not {type(d).__name__}")
+    perm = d.get("permutation")
+    return (
+        d["experiment_id"],
+        int(d["init_id"]),
+        int(d["run_id"]),
+        int(d["init_seed"]),
+        int(d["run_seed"]),
+        d["init_checksum"],
+        d.get("final_loss"),
+        d.get("recon_rmse"),
+        d.get("recon_sad"),
+        d.get("abundance_rmse"),
+        d.get("endmember_sad"),
+        tuple(perm) if perm is not None else None,
+        bool(d.get("diverged", False)),
+        0.0,
+        d.get("trace_file"),
+    )
 
 
 class GradientTrace:
@@ -773,18 +801,26 @@ def _decode_line(line: str):
     return value
 
 
-def read_records(path) -> tuple[list[RunRecord], dict]:
-    """Read a record file; returns (records, metadata).
+def _decode_rows(numbered: Iterable[tuple[int, str]], source) -> list[tuple]:
+    """The _record_row of each (line number, line) pair that is not blank,
+    each line decoded by _decode_line. A line that is not JSON, not an
+    object, lacks a required key or holds a value the coercions reject
+    raises ValueError naming source and the line number."""
+    rows = []
+    for number, line in numbered:
+        try:
+            value = _decode_line(line)
+            if value is not _BLANK:
+                rows.append(_record_row(value))
+        except KeyError as exc:
+            raise ValueError(f"{source}, line {number}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source}, line {number}: {exc}") from exc
+    return rows
 
-    The file is read line by line (LF, CRLF or CR newlines), so it is
-    never held whole beside its records, and each line is decoded as
-    json.loads decodes it (see _decode_line). Blank lines are skipped. A
-    line that is not JSON, not an object, or lacks a required key raises
-    ValueError naming the path and its 1-based line number. The metadata
-    line must hold a record_format key, but neither it nor count is
-    compared with what was read: a cut file reads without error, and the
-    CLI makes those checks.
-    """
+
+def _read_rows(path) -> tuple[list[tuple], dict]:
+    """The record rows and the metadata of a record file (see read_records)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = enumerate(fh, 1)
         meta = _BLANK
@@ -799,15 +835,41 @@ def read_records(path) -> tuple[list[RunRecord], dict]:
             raise ValueError(f"{path} is empty")
         if not isinstance(meta, dict) or "record_format" not in meta:
             raise ValueError(f"{path} does not start with a metadata line")
-        records = []
-        build = RunRecord._from_mapping
-        for number, line in lines:
-            try:
-                value = _decode_line(line)
-                if value is not _BLANK:
-                    records.append(build(value))
-            except KeyError as exc:
-                raise ValueError(f"{path}, line {number}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from exc
-    return records, meta
+        return _decode_rows(lines, path), meta
+
+
+def read_records(path) -> tuple[list[RunRecord], dict]:
+    """Read a record file; returns (records, metadata).
+
+    The file is read line by line (LF, CRLF or CR newlines), so it is
+    never held whole beside its records, and each line is decoded as
+    json.loads decodes it (see _decode_line). Blank lines are skipped. A
+    line that is not JSON, not an object, or lacks a required key raises
+    ValueError naming the path and its 1-based line number. The metadata
+    line must hold a record_format key, but neither it nor count is
+    compared with what was read: a cut file reads without error, and the
+    CLI makes those checks.
+    """
+    rows, meta = _read_rows(path)
+    return [RunRecord._from_row(row) for row in rows], meta
+
+
+def _columns(rows) -> dict[str, list]:
+    """One list per RunRecord field, keyed by its name, of rows in field
+    order."""
+    columns = list(zip(*rows)) or [()] * len(RECORD_FIELDS)
+    return {name: list(column) for name, column in zip(RECORD_FIELDS, columns)}
+
+
+def read_record_columns(path) -> tuple[dict[str, list], dict]:
+    """read_records(path) as columns: (one list per RunRecord field, keyed
+    by its name, metadata). The lines are read, decoded and checked as
+    read_records does it, with the same errors, and no RunRecord is built."""
+    rows, meta = _read_rows(path)
+    return _columns(rows), meta
+
+
+def record_columns(records: Iterable[RunRecord]) -> dict[str, list]:
+    """The columns read_record_columns gives, of records, from one pass
+    over them (records may be a one-shot iterator)."""
+    return _columns(map(attrgetter(*RECORD_FIELDS), records))

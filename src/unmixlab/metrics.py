@@ -138,10 +138,12 @@ def lenient_angles(
     a caller scoring many reconstructions of one x computes once.
 
     The columns are taken ANGLE_BLOCK_COLUMNS at a time, so no temporary is
-    as large as the inputs. Each column's norm and dot product depend on
-    that column alone (an axis-0 norm of a C-ordered block adds its rows in
-    order per column; einsum reads each F-ordered column on its own), so
-    every angle has the bits of the same formula over the whole matrix.
+    as large as the inputs, and two block-sized buffers serve every block.
+    Each column's norm and dot product depend on that column alone (the
+    squares keep the block's layout, so their axis-0 sum adds each column's
+    rows as np.linalg.norm adds them; einsum reads each F-ordered column on
+    its own), so every angle has the bits of the same formula over the whole
+    matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
@@ -151,16 +153,29 @@ def lenient_angles(
     if x_norms.shape != x.shape[1:]:
         raise ValueError(f"x_norms must hold {x.shape[1]} norms, not {x_norms.shape}")
     angles = np.full(x.shape[1], np.pi / 2.0)
+    # two block-sized buffers that every block reuses, so that no block
+    # allocates (and faults in) temporaries of its own. The first holds
+    # x_hat's squares, laid out as x_hat's block is, so that the axis-0 sum
+    # adds what np.linalg.norm adds; once the norms are taken, the two hold
+    # the F-ordered einsum operands.
+    size = x.shape[0] * min(x.shape[1], ANGLE_BLOCK_COLUMNS)
+    x_ops, h_ops = np.empty(size), np.empty(size)
+    order = "F" if x_hat.strides[0] < x_hat.strides[1] else "C"
     for start in range(0, x.shape[1], ANGLE_BLOCK_COLUMNS):
         cols = slice(start, start + ANGLE_BLOCK_COLUMNS)
         xb, hb = x[:, cols], x_hat[:, cols]
         nx = x_norms[cols]
-        nh = np.linalg.norm(hb, axis=0)
+        sq = np.multiply(hb, hb, out=x_ops[:hb.size].reshape(hb.shape, order=order))
+        nh = np.sqrt(np.add.reduce(sq, axis=0))
         ok = (nx > 0) & (nh > 0)
-        # einsum gets F-ordered operands: whole copies when every column
-        # counts, else the ones boolean column indexing makes
+        # einsum gets F-ordered operands: the buffers when every column
+        # counts, else the copies boolean column indexing makes
         if ok.all():
-            dots = np.einsum("ij,ij->j", np.asfortranarray(xb), np.asfortranarray(hb))
+            xf = x_ops[:xb.size].reshape(xb.shape, order="F")
+            hf = h_ops[:hb.size].reshape(hb.shape, order="F")
+            np.copyto(xf, xb)
+            np.copyto(hf, hb)
+            dots = np.einsum("ij,ij->j", xf, hf)
             angles[cols] = np.arccos(np.clip(dots / (nx * nh), -1.0, 1.0))
         elif ok.any():
             cos = np.einsum("ij,ij->j", xb[:, ok], hb[:, ok]) / (nx[ok] * nh[ok])

@@ -259,16 +259,16 @@ def _tie_denominator(values: NDArrayF) -> float:
 
 
 def _kw_from_rank_sums(
-    rank_sums: NDArrayF, sizes: Sequence[int], denom: float
+    rank_sums: NDArrayF, sizes: NDArrayF, n: float, denom: float
 ) -> float:
-    """Tie-corrected H from the group rank sums and the tie denominator.
+    """Tie-corrected H from the group rank sums, the group sizes as floats,
+    their total n and the tie denominator.
 
     The terms r*r/n_i add left to right, so any rank vector that gives the
     same (exact, half-integer) rank sums gives the same bits of H.
     """
     if denom <= 0.0:
         return 0.0
-    n = sum(sizes)
     h_raw = np.add.accumulate(rank_sums * rank_sums / sizes)[-1]
     h_raw = 12.0 / (n * (n + 1.0)) * h_raw - 3.0 * (n + 1.0)
     return max(float(h_raw) / denom, 0.0)
@@ -277,7 +277,10 @@ def _kw_from_rank_sums(
 def _kw_statistic(values: NDArrayF, sizes: Sequence[int]) -> float:
     """Tie-corrected Kruskal-Wallis H for pooled values split by sizes."""
     rank_sums = np.add.reduceat(midranks(values), _group_starts(sizes))
-    return _kw_from_rank_sums(rank_sums, sizes, _tie_denominator(values))
+    return _kw_from_rank_sums(
+        rank_sums, np.asarray(sizes, dtype=np.float64), float(sum(sizes)),
+        _tie_denominator(values),
+    )
 
 
 def kruskal_wallis(
@@ -308,8 +311,11 @@ def kruskal_wallis(
     sizes = g.sizes
     ranks = midranks(pooled)
     starts = _group_starts(sizes)
+    # the statistic's constants, built once for every resample
+    size_arr = np.asarray(sizes, dtype=np.float64)
+    n = float(g.total)
     denom = _tie_denominator(pooled)
-    h = _kw_from_rank_sums(np.add.reduceat(ranks, starts), sizes, denom)
+    h = _kw_from_rank_sums(np.add.reduceat(ranks, starts), size_arr, n, denom)
     if method == "chi2":
         if h == 0.0 and np.all(pooled == pooled[0]):
             return 0.0, 1.0
@@ -319,7 +325,7 @@ def kruskal_wallis(
     for _ in range(n_resamples):
         rng.shuffle(ranks)
         rank_sums = np.add.reduceat(ranks, starts)
-        if _kw_from_rank_sums(rank_sums, sizes, denom) >= h - 1e-12:
+        if _kw_from_rank_sums(rank_sums, size_arr, n, denom) >= h - 1e-12:
             hits += 1
     return h, (hits + 1.0) / (n_resamples + 1.0)
 
@@ -616,10 +622,13 @@ def write_stat_report(report: StatReport, out_dir) -> list[Path]:
     written.append(report_path)
 
     if report.posthoc is not None:
-        # each p-value is formatted once, for both files, which are written
-        # as one text each with csv.writer's bytes: "\r\n" line ends, and no
-        # field here needs quotes
-        cells = [[repr(p) for p in row] for row in report.posthoc.tolist()]
+        # each distinct p-value (by its bits: -0.0 is not 0.0) is formatted
+        # once, for both files, which are written as one text each with
+        # csv.writer's bytes: "\r\n" line ends, and no field here needs quotes
+        bits = np.ascontiguousarray(report.posthoc, dtype=np.float64).view(np.uint64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        text = np.array([repr(p) for p in distinct.view(np.float64).tolist()], dtype=object)
+        cells = text[where.reshape(bits.shape)].tolist()
         significant = report.posthoc < report.alpha
         np.fill_diagonal(significant, False)
         mat_path = out / "posthoc_matrix.csv"

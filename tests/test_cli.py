@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from unmixlab import stats
-from unmixlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from unmixlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, emit_report, main
 from unmixlab.harness import ExperimentConfig, RunRecord, read_records, write_records
 from unmixlab.lmm import load_bundle
 from unmixlab.stats import estimate_success_prob
@@ -424,6 +424,38 @@ class TestUnscoredMetric:
         assert "all runs diverged" in capsys.readouterr().err
 
 
+class TestBadScore:
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--out", "{out}"],
+        ["plan", "--threshold", "0.1"],
+        ["report", "--out", "{out}"],
+    ])
+    def test_a_score_that_is_not_a_number_is_a_data_error(self, tmp_path, capsys, command):
+        """Every analysis command reports it as bad content of the record
+        file it names, before it writes anything."""
+        path = fixture_records(tmp_path / "records.jsonl", [[1, 2, 3], [4, 5, 6]])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"recon_rmse":2', '"recon_rmse":"abc"')
+        path.write_text("\n".join(lines) + "\n")
+        argv = [arg.format(out=tmp_path / "out") for arg in command]
+        rc = main(argv + ["--records", str(path)])
+        err = json.loads(capsys.readouterr().err.removeprefix("error "))
+        assert rc == EXIT_DATA and err["kind"] == "data"
+        assert str(path) in err["message"] and "recon_rmse" in err["message"]
+        assert "'abc'" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_report_checks_its_summary_scores_before_writing(self, tmp_path, capsys):
+        path = fixture_records(tmp_path / "records.jsonl", [[1, 2, 3], [4, 5, 6]])
+        text = path.read_text().replace('"abundance_rmse":null', '"abundance_rmse":"abc"', 1)
+        path.write_text(text)
+        rc = main(["report", "--records", str(path), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err.removeprefix("error "))
+        assert rc == EXIT_DATA and err["kind"] == "data"
+        assert str(path) in err["message"] and "abundance_rmse" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlan:
     def test_direct_p_hat(self, capsys):
         assert main(["plan", "--p-hat", "0.5", "--confidence", "0.95"]) == EXIT_OK
@@ -521,6 +553,18 @@ class TestReport:
             p_hat = estimate_success_prob(records, "recon_rmse", float(t))
             assert row[1] == repr(p_hat)
             assert row[3] == str(p_hat > 0)
+
+    def test_emit_report_reads_a_one_shot_iterable(self, tmp_path):
+        path = fixture_records(tmp_path / "r.jsonl", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        records, _ = read_records(path)
+        outs = tmp_path / "list", tmp_path / "iter"
+        emit_report(records, "recon_rmse", outs[0], thresholds=(0.35,))
+        emit_report((r for r in records), "recon_rmse", outs[1], thresholds=(0.35,))
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "stat_report.txt" in names and "trials.csv" in names
+        assert sorted(p.name for p in outs[1].iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_default_thresholds_follow_loss(self, tmp_path):
         records = fixture_records(

@@ -4,12 +4,19 @@ the errors of a json.loads per line, and each writer must write the bytes
 of a csv.writer row per row."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from unmixlab.cli import emit_report
-from unmixlab.harness import GradientTrace, RunRecord, read_records
+from unmixlab.harness import (
+    RECORD_FIELDS,
+    GradientTrace,
+    RunRecord,
+    read_record_columns,
+    read_records,
+)
 from unmixlab.stats import metric_values
 
 import io_oracles as oracles
@@ -48,12 +55,12 @@ FILES = {
 
 
 def _outcome(read, path):
-    """What a reader gives for path: its error text, or each record's
-    fields with their types, and the metadata."""
+    """What a reader gives for path: its error's text and type, or each
+    record's fields with their types, and the metadata."""
     try:
         records, meta = read(path)
     except ValueError as exc:
-        return "raises", str(exc)
+        return "raises", str(exc), type(exc).__name__
     fields = [[(k, type(v).__name__, repr(v)) for k, v in vars(r).items()] for r in records]
     return fields, repr(meta)
 
@@ -65,6 +72,28 @@ def test_reader_is_json_loads_per_line(tmp_path, case, newline):
     path.write_bytes(newline.join(FILES[case]).encode("utf-8"))
     got, want = _outcome(read_records, path), _outcome(oracles.read_records, path)
     assert got == want
+
+
+def _columns_as_records(path):
+    """read_record_columns(path) as a reader of (records, metadata): record
+    k holds entry k of every column, the columns in field order."""
+    columns, meta = read_record_columns(path)
+    assert tuple(columns) == RECORD_FIELDS
+    assert len({len(column) for column in columns.values()}) == 1
+    return [SimpleNamespace(**dict(zip(columns, row))) for row in zip(*columns.values())], meta
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("case", list(FILES))
+def test_column_reader_is_json_loads_per_line(tmp_path, case, newline):
+    """The column decoder's columns are the oracle's records field by field,
+    and its errors are the oracle's in type and message."""
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(newline.join(FILES[case]).encode("utf-8"))
+    got = _outcome(_columns_as_records, path)
+    assert got == _outcome(oracles.read_records, path)
+    if case == "plain":
+        assert len(got[0]) == 3
 
 
 def test_reader_cases_cover_records_and_errors(tmp_path):

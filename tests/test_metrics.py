@@ -321,6 +321,10 @@ class TestLenientAngles:
         x, recon = self._wide(20, 4, order="F")
         assert_angles_match_oracle(x, recon)
 
+    def test_f_ordered_reconstructions_match_too(self):
+        x, recon = self._wide(20, 7)
+        assert_angles_match_oracle(x, np.asfortranarray(recon))
+
     @pytest.mark.parametrize("pixels", [1, ANGLE_BLOCK_COLUMNS - 1, ANGLE_BLOCK_COLUMNS,
                                         ANGLE_BLOCK_COLUMNS + 1])
     def test_narrow_scenes(self, pixels):
