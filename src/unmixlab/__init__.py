@@ -23,12 +23,12 @@ from .lmm import (
 )
 from .metrics import (
     ErrorSummary,
-    aggregate_errors,
     angle_matrix,
     match_endmembers,
     mse_loss,
     sad_loss,
     spectral_angle,
+    summarize_errors,
     unmixing_errors,
 )
 from .nn import (
@@ -60,7 +60,6 @@ from .stats import (
     analyze_grouped,
     chi2_sf,
     conover_iman,
-    estimate_success_prob,
     f_sf,
     group_scores,
     kruskal_wallis,
@@ -68,6 +67,7 @@ from .stats import (
     midranks,
     ph_ratio,
     required_trials,
+    success_prob,
 )
 
 __version__ = "0.1.0"

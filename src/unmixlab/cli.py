@@ -207,8 +207,8 @@ def _score_column(columns, field: str, source: str) -> np.ndarray:
 
 
 def _metric_column(columns, metric: str, source: str) -> np.ndarray:
-    """stats.metric_values of the records in columns, read from their
-    diverged and metric columns. No records, records in which no run
+    """The stats.metric_column scores of metric, read from the diverged and
+    metric columns of the records. No records, records in which no run
     scores the metric, and a score that is not a number are data errors."""
     if metric not in stats.METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; expected {stats.METRIC_NAMES}")
@@ -258,8 +258,7 @@ def _cmd_plan(args) -> int:
             raise ValueError("plan needs either --p-hat or --records with --threshold")
         columns, _ = _read_records(args)
         values = _metric_column(columns, args.metric, f"record file {args.records}")
-        # estimate_success_prob's arithmetic, on the checked metric column
-        p_hat = float(np.mean(values < args.threshold))
+        p_hat = stats.success_prob(values, args.threshold)
         threshold = args.threshold
     try:
         n_req = stats.required_trials(p_hat, args.confidence)
@@ -329,8 +328,7 @@ def _emit_report(columns, source: str, metric: str, out_dir, alpha: float,
 
     rows = ["threshold,p_hat,n_req,reachable\r\n"]
     for t in thresholds or ():
-        # estimate_success_prob's arithmetic, on the histogram's metric pass
-        p_hat = float(np.mean(values < t))
+        p_hat = stats.success_prob(values, t)
         if p_hat > 0:
             n_req = stats.required_trials(p_hat, confidence)
             rows.append(f"{float(t)!r},{p_hat!r},{n_req},True\r\n")

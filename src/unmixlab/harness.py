@@ -242,11 +242,6 @@ class RunRecord:
         return cls._from_row(rows[0])
 
     @classmethod
-    def _from_mapping(cls, d) -> "RunRecord":
-        """The record of one decoded line (see _record_row)."""
-        return cls._from_row(_record_row(d))
-
-    @classmethod
     def _from_row(cls, row: tuple) -> "RunRecord":
         """The record whose fields are row, in field order, built without
         the frozen __init__, whose one object.__setattr__ per field costs
@@ -369,17 +364,6 @@ def _trainable_encoder_layers(net: nn.Network) -> list[tuple[str, slice]]:
         if slices:
             out.append((f"enc{i}_{layer.kind}", slice(slices[0].start, slices[-1].stop)))
     return out
-
-
-def _mean_std(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g.mean(axis=-1), g.std(axis=-1)), each row with the bits of numpy's
-    own g[r].mean() and g[r].std(), but one pass fewer: the sum of a row
-    is taken once for both."""
-    n = g.shape[-1]
-    mean = np.add.reduce(g, axis=-1) / n
-    dev = g - mean[..., None]
-    np.square(dev, out=dev)
-    return mean, np.sqrt(np.add.reduce(dev, axis=-1) / n)
 
 
 def _resolve_latent_dim(config: ExperimentConfig, data: HsiBundle) -> int:
@@ -553,7 +537,8 @@ def _fit(stack, config, x, run_seeds, traces, traced) -> tuple[list, list]:
             lost = np.flatnonzero(~np.isfinite(values)).tolist()
             nn.backward(stack, cache, loss_grad)
             if traces is not None and GradientTrace.should_log(iteration):
-                stats = [_mean_std(stack.flat_grads[:, sl]) for _, sl in traced]
+                stats = [(g.mean(axis=-1), g.std(axis=-1))
+                         for g in (stack.flat_grads[:, sl] for _, sl in traced)]
                 for p, r in enumerate(live):
                     if p not in lost:
                         traces[r].log(iteration, [mean[p] for mean, _ in stats],
@@ -749,10 +734,12 @@ def extract_endmembers(net: nn.Network) -> np.ndarray:
 
 
 def extract_abundances(net: nn.Network, data) -> np.ndarray:
-    """Eval-mode abundance matrix (E x M) for a bundle or pixel matrix."""
-    x = data.pixels if isinstance(data, HsiBundle) else np.asarray(data)
-    _, abundances, _ = nn.forward(net, x, mode=nn.EVAL)
-    return abundances
+    """Eval-mode abundance matrix (E x M) for a bundle or pixel matrix. A
+    bundle's pixels were checked when it was built; a matrix is checked
+    here."""
+    if isinstance(data, HsiBundle):
+        return nn.forward(net, data.pixels, mode=nn.EVAL, check_finite=False)[1]
+    return nn.forward(net, np.asarray(data), mode=nn.EVAL)[1]
 
 
 def write_records(

@@ -49,13 +49,25 @@ class SeparationError(ValueError):
     request asks for more endmembers than its bands and window can part."""
 
 
-def _freeze(a: np.ndarray) -> NDArrayF:
-    """a as a read-only C-ordered float64 array that owns its memory: a
-    view of other memory is copied, so nothing can change the array after
-    it was checked. An array that already owns its memory is kept."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.base is not None:
-        out = out.copy()
+class _Made:
+    """An array that lmm made itself and hands to a bundle or ground truth,
+    which adopt it without a copy: no caller holds it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _freeze(a) -> NDArrayF:
+    """a as a read-only C-ordered float64 array that nothing can change
+    after it was checked. What a caller passes is copied, as the caller
+    keeps its array and may write to it; an array lmm made (see _Made) is
+    adopted, and copied only into C order and float64."""
+    if isinstance(a, _Made):
+        out = np.ascontiguousarray(a.array, dtype=np.float64)
+    else:
+        out = np.array(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 
@@ -173,7 +185,7 @@ def synthesize(
         rng = np.random.default_rng(seed)
         pixels = pixels + noise.sigma * rng.standard_normal(pixels.shape)
     return HsiBundle(
-        pixels=pixels, name=name, width=width, height=height, ground_truth=gt
+        pixels=_Made(pixels), name=name, width=width, height=height, ground_truth=gt
     )
 
 
@@ -279,10 +291,11 @@ def min_max_scale(bundle: HsiBundle) -> tuple[HsiBundle, tuple[float, float]]:
     gt = bundle.ground_truth
     if gt is not None:
         gt = GroundTruth(
-            endmembers=(gt.endmembers - lo) / span, abundances=gt.abundances
+            endmembers=_Made((gt.endmembers - lo) / span),
+            abundances=_Made(gt.abundances),
         )
     scaled = HsiBundle(
-        pixels=pixels,
+        pixels=_Made(pixels),
         name=bundle.name,
         width=bundle.width,
         height=bundle.height,
@@ -395,11 +408,11 @@ def _load_bundle(root: Path) -> HsiBundle:
     gt = None
     if "endmembers" in payloads and "abundances" in payloads:
         gt = GroundTruth(
-            endmembers=_read_payload(root, payloads["endmembers"]),
-            abundances=_read_payload(root, payloads["abundances"]),
+            endmembers=_Made(_read_payload(root, payloads["endmembers"])),
+            abundances=_Made(_read_payload(root, payloads["abundances"])),
         )
     return HsiBundle(
-        pixels=pixels,
+        pixels=_Made(pixels),
         name=header.get("name", "unnamed"),
         width=header.get("width"),
         height=header.get("height"),
@@ -422,7 +435,7 @@ def bundle_from_csv(
     if rows.size == 0:
         raise FormatError(f"CSV {path} holds no data")
     return HsiBundle(
-        pixels=rows.T,
+        pixels=_Made(rows.T),
         name=name if name is not None else path.stem,
         width=width,
         height=height,

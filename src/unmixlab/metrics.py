@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import numpy.typing as npt
-
-from .stats import metric_values
 
 NDArrayF = npt.NDArray[np.float64]
 
@@ -304,24 +301,15 @@ class ErrorSummary:
     count: int
 
 
-def aggregate_errors(records: Iterable) -> ErrorSummary:
-    """Mean and sample std of abundance/endmember errors over run records.
-
-    Accepts any objects exposing abundance_rmse and endmember_sad attributes.
-    Both are read through stats.metric_values, and a record counts only
-    where both are finite, so diverged, unscored and NaN-scored runs are
-    skipped as group_scores skips them; at least one scored record is
-    required.
-    """
-    records = list(records)
-    return summarize_errors(
-        metric_values(records, "abundance_rmse"), metric_values(records, "endmember_sad")
-    )
-
-
 def summarize_errors(ab_arr: NDArrayF, em_arr: NDArrayF) -> ErrorSummary:
-    """aggregate_errors of records given as two columns: the metric_values
-    scores of their abundance_rmse and of their endmember_sad."""
+    """Mean and sample std of abundance/endmember errors over run records,
+    given as two columns: the stats.metric_column scores of their
+    abundance_rmse and of their endmember_sad.
+
+    A record counts only where both are finite, so diverged, unscored and
+    NaN-scored runs are skipped as stats.group_by_init skips them; at least
+    one scored record is required.
+    """
     scored = np.isfinite(ab_arr) & np.isfinite(em_arr)
     if not scored.any():
         raise ValueError("no scored records to aggregate")

@@ -437,22 +437,10 @@ def ph_ratio(posthoc: np.ndarray, alpha: float) -> float:
 METRIC_NAMES = ("recon_rmse", "recon_sad", "abundance_rmse", "endmember_sad")
 
 
-def metric_values(records: Iterable, metric: str) -> NDArrayF:
-    """One score per record, read from the attribute named metric (one of
-    METRIC_NAMES); diverged or unscored runs become +inf."""
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}; expected {METRIC_NAMES}")
-    records = list(records)
-    diverged = [getattr(rec, "diverged", False) for rec in records]
-    return metric_column(
-        diverged, [None if dv else getattr(rec, metric) for rec, dv in zip(records, diverged)]
-    )
-
-
 def metric_column(diverged: Sequence[bool], scores: Sequence) -> NDArrayF:
-    """metric_values of records given as two columns, one entry per
-    record: its diverged flag and its metric attribute. A caller that
-    reads several fields of the same records reads each flag once."""
+    """One score per record, from two columns with one entry per record:
+    its diverged flag and its score of one metric (one of METRIC_NAMES).
+    A diverged or unscored run scores +inf."""
     out = [
         math.inf if dv or val is None else float(val)
         for dv, val in zip(diverged, scores, strict=True)
@@ -462,13 +450,10 @@ def metric_column(diverged: Sequence[bool], scores: Sequence) -> NDArrayF:
     return np.asarray(out)
 
 
-def estimate_success_prob(records: Iterable, metric: str, threshold: float) -> float:
-    """Empirical probability that one training run scores below threshold
-    on the metric named metric (one of METRIC_NAMES).
-
-    Diverged runs count as failures in the denominator.
-    """
-    values = metric_values(records, metric)
+def success_prob(values: NDArrayF, threshold: float) -> float:
+    """Empirical probability that one training run scores below threshold,
+    from the metric_column scores of its grid. Diverged and unscored runs,
+    which score +inf, count as failures in the denominator."""
     return float(np.mean(values < threshold))
 
 
@@ -555,21 +540,27 @@ def analyze_grouped(
 
 
 def group_scores(records: Iterable, metric="recon_rmse") -> GroupedScores:
-    """Group record scores by init_id for the stability test.
-
-    Scores come from metric_values; the runs it scores +inf (diverged or
-    unscored) and any other non-finite score are dropped, so an
-    initialization whose runs all diverged forms no group. The retry
-    planner counts those same runs as failures instead.
-    """
+    """Group record scores by init_id for the stability test: group_by_init
+    of the records' init_id column and their metric_column scores of
+    metric (one of METRIC_NAMES)."""
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}; expected {METRIC_NAMES}")
     records = list(records)
-    values = metric_values(records, metric)
+    diverged = [getattr(rec, "diverged", False) for rec in records]
+    values = metric_column(
+        diverged, [None if dv else getattr(rec, metric) for rec, dv in zip(records, diverged)]
+    )
     return group_by_init([rec.init_id for rec in records], values)
 
 
 def group_by_init(init_ids: Sequence[int], values: NDArrayF) -> GroupedScores:
-    """group_scores of records given as two columns: each record's init_id
-    and its metric_values score."""
+    """Group scores by initialization, from two columns: each record's
+    init_id and its metric_column score.
+
+    The runs scored +inf (diverged or unscored) and any other non-finite
+    score are dropped, so an initialization whose runs all diverged forms
+    no group. success_prob counts those same runs as failures instead.
+    """
     ids = np.asarray(init_ids, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if ids.shape != values.shape:

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from unmixlab.cli import _freedman_diaconis_bins
-from unmixlab.harness import RunRecord
+from unmixlab.harness import RunRecord, _record_row
 from unmixlab.stats import required_trials
 
 
@@ -38,7 +38,7 @@ def read_records(path):
         records = []
         for number, line in numbered:
             try:
-                records.append(RunRecord._from_mapping(json.loads(line)))
+                records.append(RunRecord._from_row(_record_row(json.loads(line))))
             except KeyError as exc:
                 raise ValueError(f"{path}, line {number}: missing key {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -58,7 +58,8 @@ def write_trace_csv(trace, path):
 
 def write_report_csvs(values, out_dir, thresholds, confidence, bins=None):
     """histogram.csv and trials.csv of cli.emit_report for the metric
-    scores values (metric_values of the records), one writerow per row."""
+    scores values (one per record, +inf for a diverged run), one writerow
+    per row."""
     finite = values[np.isfinite(values)]
     n_bins = bins if bins is not None else _freedman_diaconis_bins(finite)
     counts, edges = np.histogram(finite, bins=n_bins)

@@ -583,7 +583,7 @@ class TestRecordReader:
             finally:
                 tracemalloc.stop()
 
-        fast = held(RunRecord._from_mapping)
+        fast = held(lambda d: RunRecord._from_row(harness._record_row(d)))
         slow = held(_constructed_from)
         assert fast <= 2.0 * slow, (fast, slow)
 

@@ -1,5 +1,7 @@
 """Mixing-model generation and bundle round-trip behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,9 +302,40 @@ class TestValidation:
         for frozen in (bundle.pixels, gt.endmembers, gt.abundances):
             assert frozen.base is None and not frozen.flags.writeable
 
-    def test_an_array_that_owns_its_memory_is_not_copied(self):
-        pixels = np.ones((4, 6))
-        assert HsiBundle(pixels=pixels).pixels is pixels
+    @pytest.mark.parametrize("field", ["pixels", "endmembers", "abundances"])
+    def test_a_caller_array_cannot_change_the_bundle(self, field):
+        """An array the caller passes is copied, even one that owns its
+        memory: the caller keeps it and may set its writeable flag again."""
+        w = np.full((5, 2), 0.5)
+        a = np.full((2, 6), 0.5)
+        passed = {"pixels": w @ a, "endmembers": w, "abundances": a}
+        bundle = HsiBundle(pixels=passed["pixels"],
+                           ground_truth=GroundTruth(endmembers=w, abundances=a))
+        held = passed[field]
+        held.flags.writeable = True
+        held[0, 0] = np.nan
+        frozen = bundle.pixels if field == "pixels" else getattr(bundle.ground_truth, field)
+        assert np.isfinite(frozen).all()
+        assert not frozen.flags.writeable
+
+    def test_arrays_lmm_makes_are_adopted_without_a_copy(self, tmp_path):
+        """load_bundle and min_max_scale hand the bundle the arrays they
+        make. A copy on top would lift load_bundle's peak from 1.5 scenes
+        (the float32 payload and the float64 pixels) to 2, and
+        min_max_scale's from about 1 to 2."""
+        w = generate_endmembers(64, 3, smoothness=5, seed=1)
+        bundle = synthesize(w, sample_abundances(3, 4000, seed=2), seed=3)
+        save_bundle(bundle, tmp_path / "b")
+        scene = bundle.pixels.nbytes
+        for make, limit in ((lambda: load_bundle(tmp_path / "b"), 1.6),
+                            (lambda: min_max_scale(bundle), 1.25)):
+            tracemalloc.start()
+            try:
+                make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * scene, peak / scene
 
 
 class TestMinMaxScale:

@@ -12,7 +12,6 @@ from unmixlab.harness import RunRecord
 from unmixlab.metrics import (
     ANGLE_BLOCK_COLUMNS,
     DegenerateSpectrumError,
-    aggregate_errors,
     angle_matrix,
     column_norms,
     format_mean_std,
@@ -21,9 +20,10 @@ from unmixlab.metrics import (
     mse_loss,
     rmse_overwriting,
     sad_loss,
+    summarize_errors,
     unmixing_errors,
 )
-from unmixlab.stats import group_scores
+from unmixlab.stats import group_scores, metric_column
 
 from metrics_oracles import (
     brute_force_match,
@@ -546,19 +546,28 @@ class TestAggregation:
     def _rec(self, a, e, diverged=False):
         return SimpleNamespace(abundance_rmse=a, endmember_sad=e, diverged=diverged)
 
+    @staticmethod
+    def _summarize(records):
+        """summarize_errors of the records' metric_column scores."""
+        diverged = [rec.diverged for rec in records]
+        return summarize_errors(
+            metric_column(diverged, [rec.abundance_rmse for rec in records]),
+            metric_column(diverged, [rec.endmember_sad for rec in records]),
+        )
+
     def test_mean_of_two(self):
-        summary = aggregate_errors([self._rec(0.1, 0.3), self._rec(0.3, 0.1)])
+        summary = self._summarize([self._rec(0.1, 0.3), self._rec(0.3, 0.1)])
         assert summary.abundance_mean == pytest.approx(0.2)
         assert summary.endmember_mean == pytest.approx(0.2)
 
     def test_single_record_zero_std(self):
-        summary = aggregate_errors([self._rec(0.25, 0.4)])
+        summary = self._summarize([self._rec(0.25, 0.4)])
         assert summary.abundance_mean == 0.25
         assert summary.abundance_std == 0.0
         assert summary.endmember_std == 0.0
 
     def test_diverged_records_skipped(self):
-        summary = aggregate_errors(
+        summary = self._summarize(
             [self._rec(0.1, 0.1), self._rec(9.0, 9.0, diverged=True)]
         )
         assert summary.count == 1
@@ -566,7 +575,9 @@ class TestAggregation:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_errors([])
+            self._summarize([])
+        with pytest.raises(ValueError):
+            summarize_errors(np.empty(0), np.empty(0))
 
     def test_nan_scored_record_is_dropped_as_group_scores_drops_it(self):
         lines = []
@@ -580,7 +591,7 @@ class TestAggregation:
             ).to_json())
         assert "NaN" in lines[1]
         records = [RunRecord.from_json(line) for line in lines]
-        summary = aggregate_errors(records)
+        summary = self._summarize(records)
         assert summary.count == 2
         assert summary.abundance_mean == pytest.approx(0.2)
         assert summary.endmember_mean == pytest.approx(0.2)

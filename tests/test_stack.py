@@ -324,7 +324,8 @@ def _fit_alone(net, config, x, run_seed, trace):
                     return None
                 nn.backward(net, cache, grad)
                 if trace.should_log(iteration):
-                    stats = [harness._mean_std(net.flat_grads[sl]) for _, sl in traced]
+                    stats = [(net.flat_grads[sl].mean(), net.flat_grads[sl].std())
+                             for _, sl in traced]
                     trace.log(iteration, [m for m, _ in stats], [s for _, s in stats])
                 try:
                     nn.apply_gradients(net, state)

@@ -16,13 +16,14 @@ from unmixlab.stats import (
     analyze_grouped,
     chi2_sf,
     conover_iman,
-    estimate_success_prob,
     group_scores,
     kruskal_wallis,
     levene,
+    metric_column,
     midranks,
     ph_ratio,
     required_trials,
+    success_prob,
     write_stat_report,
 )
 from unmixlab import stats
@@ -459,19 +460,14 @@ class TestInvariances:
 
 class TestPlanner:
     def test_estimate_counts_fraction_below_threshold(self):
-        from types import SimpleNamespace
-        recs = [SimpleNamespace(recon_rmse=v, diverged=False) for v in (0.1, 0.2, 0.3)]
-        assert estimate_success_prob(recs, "recon_rmse", 0.15) == pytest.approx(1 / 3)
-        assert estimate_success_prob(recs, "recon_rmse", 0.05) == 0.0
-        assert estimate_success_prob(recs, "recon_rmse", 0.35) == 1.0
+        values = metric_column([False] * 3, [0.1, 0.2, 0.3])
+        assert success_prob(values, 0.15) == pytest.approx(1 / 3)
+        assert success_prob(values, 0.05) == 0.0
+        assert success_prob(values, 0.35) == 1.0
 
     def test_diverged_records_count_as_failures(self):
-        from types import SimpleNamespace
-        recs = [
-            SimpleNamespace(recon_rmse=0.01, diverged=False),
-            SimpleNamespace(recon_rmse=None, diverged=True),
-        ]
-        assert estimate_success_prob(recs, "recon_rmse", 0.05) == 0.5
+        values = metric_column([False, True], [0.01, None])
+        assert success_prob(values, 0.05) == 0.5
 
     def test_required_trials_reference_values(self):
         assert required_trials(0.5, 0.95) == 5
@@ -495,10 +491,8 @@ class TestPlanner:
             required_trials(0.0, 0.95)
 
     def test_success_prob_sizes_the_retry_count(self):
-        from types import SimpleNamespace
-        recs = [SimpleNamespace(recon_rmse=v, diverged=False)
-                for v in np.linspace(0.0, 1.0, 100)]
-        p_hat = estimate_success_prob(recs, "recon_rmse", threshold=0.5)
+        values = metric_column([False] * 100, np.linspace(0.0, 1.0, 100))
+        p_hat = success_prob(values, threshold=0.5)
         assert p_hat == pytest.approx(0.5)
         assert required_trials(p_hat, 0.95) == 5
 
@@ -556,7 +550,8 @@ class TestPipeline:
             rec.diverged, rec.recon_rmse = True, None
         g = group_scores(recs, "recon_rmse")
         assert g.sizes == (2, 2)
-        assert estimate_success_prob(recs, "recon_rmse", 10.0) == pytest.approx(4 / 6)
+        values = metric_column([rec.diverged for rec in recs], [rec.recon_rmse for rec in recs])
+        assert success_prob(values, 10.0) == pytest.approx(4 / 6)
 
     def test_group_scores_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
